@@ -11,8 +11,6 @@ from .autodiff import (
     ShapeMismatchError,
     Tape,
     Tensor,
-    UnknownPrimitiveError,
-    apply_primitive,
     backward,
     detach,
     pause_recording,
@@ -45,7 +43,6 @@ from .flops import (
     delta_flops,
     estimate_training_time,
     layer_forward_flops,
-    total_flops,
 )
 from .model import (
     Detector,

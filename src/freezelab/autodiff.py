@@ -26,9 +26,8 @@ __all__ = [
     "Tape",
     "Node",
     "ShapeMismatchError",
-    "UnknownPrimitiveError",
     "PRIMITIVE_KINDS",
-    "apply_primitive",
+    "conv_out_hw",
     "add",
     "multiply",
     "matmul",
@@ -48,10 +47,6 @@ __all__ = [
 
 class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class UnknownPrimitiveError(ValueError):
-    """`apply_primitive` was asked for a kind it does not know."""
 
 
 _uid_counter = itertools.count(1)
@@ -82,11 +77,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the element values."""
-        return self.data.reshape(-1)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
@@ -94,16 +84,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Convenience operators; the module-level functions are the real API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return multiply(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 # A node's backward_fn maps the output adjoint to one adjoint per parent
@@ -158,7 +138,13 @@ def pause_recording():
         _TAPE_STACK.pop()
 
 
-def _finish(kind: str, out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> Tensor:
+def record_external(kind: str, out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> Tensor:
+    """Record one differentiable operation on the active tape.
+
+    Every built-in primitive goes through here, and so may fused
+    operations (e.g. a detection loss) whose gradients are supplied
+    analytically rather than composed from the built-in primitives.
+    """
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
@@ -173,16 +159,6 @@ def _finish(kind: str, out_data: np.ndarray, inputs: Sequence[Tensor], backward_
     return out
 
 
-def record_external(kind: str, out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> Tensor:
-    """Record a custom differentiable operation on the active tape.
-
-    Escape hatch for fused operations (e.g. a detection loss) whose
-    gradients are supplied analytically rather than composed from the
-    built-in primitives. The semantics are identical to a built-in op.
-    """
-    return _finish(kind, out_data, inputs, backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -192,12 +168,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         def bwd(g):
             return g, g
-        return _finish("add", a.data + b.data, (a, b), bwd)
+        return record_external("add", a.data + b.data, (a, b), bwd)
     if b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
         lead = tuple(range(a.data.ndim - 1))
         def bwd(g, _lead=lead):
             return g, g.sum(axis=_lead)
-        return _finish("add", a.data + b.data, (a, b), bwd)
+        return record_external("add", a.data + b.data, (a, b), bwd)
     raise ShapeMismatchError(f"add: shapes {a.shape} and {b.shape} are not compatible")
 
 
@@ -207,7 +183,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
         def bwd(g):
             return g * bd, g * ad
-        return _finish("multiply", ad * bd, (a, b), bwd)
+        return record_external("multiply", ad * bd, (a, b), bwd)
     if a.data.ndim == 0 or b.data.ndim == 0:
         ad, bd = a.data, b.data
         def bwd(g):
@@ -218,7 +194,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
             if bd.ndim == 0:
                 gb = np.asarray(gb.sum())
             return ga, gb
-        return _finish("multiply", ad * bd, (a, b), bwd)
+        return record_external("multiply", ad * bd, (a, b), bwd)
     raise ShapeMismatchError(f"multiply: shapes {a.shape} and {b.shape} are not compatible")
 
 
@@ -230,10 +206,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     def bwd(g):
         return g @ bd.T, ad.T @ g
-    return _finish("matmul", ad @ bd, (a, b), bwd)
+    return record_external("matmul", ad @ bd, (a, b), bwd)
 
 
-def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int) -> tuple[int, int]:
+def conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int) -> tuple[int, int]:
+    """Output height and width of a valid (unpadded) window sweep, as used
+    by conv2d and maxpool2d; the window must fit the input."""
     return (h - kh) // stride + 1, (w - kw) // stride + 1
 
 
@@ -259,7 +237,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
     if bias is not None and bias.shape != (oc,):
         raise ShapeMismatchError(f"conv2d: bias shape {bias.shape} does not match out channels ({oc},)")
 
-    ho, wo = _conv_out_hw(h, w, kh, kw, stride)
+    ho, wo = conv_out_hw(h, w, kh, kw, stride)
     xd, wd = x.data, weight.data
     acc = np.zeros((b_, ho, wo, oc))
     for i in range(kh):
@@ -288,14 +266,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
         return gx, gw
 
     inputs = (x, weight, bias) if has_bias else (x, weight)
-    return _finish("conv2d", out, inputs, bwd)
+    return record_external("conv2d", out, inputs, bwd)
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     def bwd(g):
         return (g * mask,)
-    return _finish("relu", np.where(mask, x.data, 0.0), (x,), bwd)
+    return record_external("relu", np.where(mask, x.data, 0.0), (x,), bwd)
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
@@ -311,7 +289,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     b_, c, h, w = x.shape
     if h < kernel or w < kernel:
         raise ShapeMismatchError(f"maxpool2d: input {x.shape} smaller than window {kernel}x{kernel}")
-    ho, wo = _conv_out_hw(h, w, kernel, kernel, stride)
+    ho, wo = conv_out_hw(h, w, kernel, kernel, stride)
     xd = x.data
     best = np.full((b_, c, ho, wo), -np.inf)
     winner = np.zeros((b_, c, ho, wo), dtype=np.int64)
@@ -330,7 +308,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
         np.add.at(gx, (bi, ci, rows, cols), g)
         return (gx,)
 
-    return _finish("maxpool2d", best, (x,), bwd)
+    return record_external("maxpool2d", best, (x,), bwd)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -341,7 +319,7 @@ def flatten(x: Tensor) -> Tensor:
     out = x.data.reshape(shape[0], -1)
     def bwd(g):
         return (g.reshape(shape),)
-    return _finish("flatten", out, (x,), bwd)
+    return record_external("flatten", out, (x,), bwd)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -351,21 +329,21 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     old = x.shape
     def bwd(g):
         return (g.reshape(old),)
-    return _finish("reshape", x.data.reshape(shape), (x,), bwd)
+    return record_external("reshape", x.data.reshape(shape), (x,), bwd)
 
 
 def reduce_sum(x: Tensor) -> Tensor:
     shape = x.shape
     def bwd(g):
         return (np.full(shape, float(g)),)
-    return _finish("sum", np.asarray(x.data.sum()), (x,), bwd)
+    return record_external("sum", np.asarray(x.data.sum()), (x,), bwd)
 
 
 def reduce_mean(x: Tensor) -> Tensor:
     shape, n = x.shape, x.size
     def bwd(g):
         return (np.full(shape, float(g) / n),)
-    return _finish("mean", np.asarray(x.data.mean()), (x,), bwd)
+    return record_external("mean", np.asarray(x.data.mean()), (x,), bwd)
 
 
 def detach(t: Tensor) -> Tensor:
@@ -374,66 +352,12 @@ def detach(t: Tensor) -> Tensor:
     Anything computed downstream of the result contributes zero gradient
     to everything upstream of `t`.
     """
-    out = Tensor(t.data, requires_grad=False)
-    return out
+    return Tensor(t.data, requires_grad=False)
 
 
-PRIMITIVE_KINDS = (
-    "add",
-    "multiply",
-    "matmul",
-    "conv2d",
-    "relu",
-    "maxpool2d",
-    "flatten",
-    "mean",
-    "sum",
-)
-
-_ARITY = {
-    "add": 2,
-    "multiply": 2,
-    "matmul": 2,
-    "relu": 1,
-    "maxpool2d": 1,
-    "flatten": 1,
-    "mean": 1,
-    "sum": 1,
-}
-
-
-def apply_primitive(kind: str, operands: Sequence[Tensor], **attrs) -> Tensor:
-    """Dispatch one primitive application by name.
-
-    conv2d takes 2 or 3 operands (input, weight[, bias]) and a `stride`
-    attr; maxpool2d takes `kernel` and optional `stride`; the other kinds
-    take no attrs.
-    """
-    if kind not in PRIMITIVE_KINDS:
-        raise UnknownPrimitiveError(f"unknown primitive kind {kind!r}; expected one of {PRIMITIVE_KINDS}")
-    if kind == "conv2d":
-        if len(operands) not in (2, 3):
-            raise ValueError(f"conv2d expects 2 or 3 operands, got {len(operands)}")
-        bias = operands[2] if len(operands) == 3 else None
-        return conv2d(operands[0], operands[1], bias=bias, stride=attrs.pop("stride", 1))
-    if kind == "maxpool2d":
-        if len(operands) != 1:
-            raise ValueError(f"maxpool2d expects 1 operand, got {len(operands)}")
-        return maxpool2d(operands[0], kernel=attrs.pop("kernel"), stride=attrs.pop("stride", None))
-    if attrs:
-        raise ValueError(f"{kind} takes no attributes, got {sorted(attrs)}")
-    if len(operands) != _ARITY[kind]:
-        raise ValueError(f"{kind} expects {_ARITY[kind]} operands, got {len(operands)}")
-    fn = {
-        "add": add,
-        "multiply": multiply,
-        "matmul": matmul,
-        "relu": relu,
-        "flatten": flatten,
-        "mean": reduce_mean,
-        "sum": reduce_sum,
-    }[kind]
-    return fn(*operands)
+# Node kinds of the arithmetic primitives; the finite-difference gradient
+# oracle of the test suite sweeps every one of them.
+PRIMITIVE_KINDS = ("add", "multiply", "matmul", "conv2d", "relu", "maxpool2d", "flatten", "mean", "sum")
 
 
 def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:

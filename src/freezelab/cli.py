@@ -75,13 +75,7 @@ def _parse_rhos(text: str) -> list:
         rhos.append(parse_rho(part))
     if not rhos:
         raise ValueError(f"no periods found in --rhos {text!r}")
-    seen = set()
-    out = []
-    for rho in rhos:
-        if rho not in seen:
-            seen.add(rho)
-            out.append(rho)
-    return out
+    return list(dict.fromkeys(rhos))  # drop repeats, keep first-seen order
 
 
 def _parse_seeds(text: str) -> list[int]:

@@ -12,7 +12,6 @@ possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .autodiff import Tensor
 from .evaluation import BBox, GroundTruth
 from .rng import STREAM_SCENE, generator
 
-__all__ = ["SceneConfig", "Scene", "generate_scene", "generate_dataset", "dump_dataset"]
+__all__ = ["SceneConfig", "Scene", "generate_scene", "generate_dataset"]
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,3 @@ def generate_dataset(cfg: SceneConfig, n_train: int, n_val: int) -> tuple[list[S
     train = [generate_scene(cfg, i) for i in range(n_train)]
     val = [generate_scene(cfg, i) for i in range(n_train, n_train + n_val)]
     return train, val
-
-
-def dump_dataset(scenes: Sequence[Scene], images_path, ground_truth_path) -> None:
-    """Write images as a stacked .npy array plus the boxes as CSV."""
-    from .evaluation import write_ground_truth_csv
-
-    stack = np.stack([s.image.data for s in scenes]) if scenes else np.zeros((0,))
-    np.save(images_path, stack)
-    gts = [gt for s in scenes for gt in s.ground_truths]
-    write_ground_truth_csv(gts, ground_truth_path)

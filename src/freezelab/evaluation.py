@@ -5,16 +5,14 @@ order of descending score (original order breaks ties), each one may claim
 at most one still-unmatched ground-truth box of the same image and class,
 and it claims the one with the highest overlap provided that overlap
 reaches the threshold. Everything else is a false positive. Average
-precision integrates the precision envelope over recall; an 11-point
-variant is available as a config switch for comparison against older
-tooling.
+precision integrates the precision envelope over the exact recall steps
+(all-points interpolation).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "BBox",
@@ -26,10 +24,6 @@ __all__ = [
     "precision_recall",
     "average_precision",
     "map50",
-    "write_detections_csv",
-    "read_detections_csv",
-    "write_ground_truth_csv",
-    "read_ground_truth_csv",
 ]
 
 
@@ -140,15 +134,10 @@ def average_precision(
     tp_flags: Sequence[bool],
     scores: Sequence[float],
     n_ground_truth: int,
-    eleven_point: bool = False,
 ) -> float:
-    """Area under the interpolated precision-recall curve.
-
-    Default is all-points interpolation: precision is replaced by its
-    running maximum from the right, then integrated over the exact recall
-    steps. With eleven_point=True the interpolated precision is instead
-    sampled at recall 0.0, 0.1, ..., 1.0 and averaged.
-    """
+    """Area under the interpolated precision-recall curve: precision is
+    replaced by its running maximum from the right, then integrated over
+    the exact recall steps."""
     if n_ground_truth < 1:
         raise ValueError("need at least one ground truth")
     if not tp_flags:
@@ -159,18 +148,6 @@ def average_precision(
     env = list(precisions)
     for i in range(len(env) - 2, -1, -1):
         env[i] = max(env[i], env[i + 1])
-
-    if eleven_point:
-        total = 0.0
-        for step in range(11):
-            r = step / 10.0
-            p_at = 0.0
-            for pi, ri in zip(env, recalls):
-                if ri >= r:
-                    p_at = pi
-                    break
-            total += p_at
-        return total / 11.0
 
     ap = 0.0
     prev_r = 0.0
@@ -193,7 +170,6 @@ def map50(
     detections: Sequence[Detection],
     ground_truths: Sequence[GroundTruth],
     iou_threshold: float = 0.5,
-    eleven_point: bool = False,
 ) -> EvalReport:
     """Mean AP over every class that has at least one ground-truth box.
 
@@ -209,11 +185,7 @@ def map50(
         det_idx = [i for i, d in enumerate(detections) if d.class_id == cid]
         n_gt = sum(1 for gt in ground_truths if gt.class_id == cid)
         per_class[cid] = average_precision(
-            [flags[i] for i in det_idx],
-            [detections[i].score for i in det_idx],
-            n_gt,
-            eleven_point=eleven_point,
-        )
+            [flags[i] for i in det_idx], [detections[i].score for i in det_idx], n_gt)
 
     mean = sum(per_class.values()) / len(per_class) if per_class else 0.0
     return EvalReport(
@@ -222,66 +194,3 @@ def map50(
         n_detections=len(detections),
         n_ground_truth=len(ground_truths),
     )
-
-
-_DET_COLUMNS = ("image_id", "class_id", "score", "xmin", "ymin", "xmax", "ymax")
-_GT_COLUMNS = ("image_id", "class_id", "xmin", "ymin", "xmax", "ymax")
-
-
-def write_detections_csv(detections: Iterable[Detection], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_DET_COLUMNS)
-        for d in detections:
-            writer.writerow(
-                [d.image_id, d.class_id, repr(float(d.score))]
-                + [repr(float(v)) for v in (d.box.xmin, d.box.ymin, d.box.xmax, d.box.ymax)]
-            )
-
-
-def read_detections_csv(path) -> list[Detection]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != _DET_COLUMNS:
-            raise ValueError(f"unexpected detections header in {path}: {header}")
-        for row in reader:
-            out.append(
-                Detection(
-                    image_id=int(row[0]),
-                    class_id=int(row[1]),
-                    score=float(row[2]),
-                    box=BBox(float(row[3]), float(row[4]), float(row[5]), float(row[6])),
-                )
-            )
-    return out
-
-
-def write_ground_truth_csv(ground_truths: Iterable[GroundTruth], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_GT_COLUMNS)
-        for g in ground_truths:
-            writer.writerow(
-                [g.image_id, g.class_id]
-                + [repr(float(v)) for v in (g.box.xmin, g.box.ymin, g.box.xmax, g.box.ymax)]
-            )
-
-
-def read_ground_truth_csv(path) -> list[GroundTruth]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != _GT_COLUMNS:
-            raise ValueError(f"unexpected ground-truth header in {path}: {header}")
-        for row in reader:
-            out.append(
-                GroundTruth(
-                    image_id=int(row[0]),
-                    class_id=int(row[1]),
-                    box=BBox(float(row[2]), float(row[3]), float(row[4]), float(row[5])),
-                )
-            )
-    return out

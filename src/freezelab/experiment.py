@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .flops import (
     TimeModel,
     delta_flops,
     estimate_training_time,
+    read_csv_rows,
     read_ledger_csv,
     write_ledger_csv,
 )
@@ -138,14 +139,6 @@ def _schedule_from_json(raw) -> ScheduleSpec:
     return ScheduleSpec(phases)
 
 
-def _dataclass_to_json(obj) -> dict:
-    out = {}
-    for name in obj.__dataclass_fields__:
-        value = getattr(obj, name)
-        out[name] = value
-    return out
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
         "version": CONFIG_VERSION,
@@ -155,11 +148,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "n_train": cfg.n_train,
         "n_val": cfg.n_val,
         "arch": cfg.arch,
-        "scene": _dataclass_to_json(cfg.scene),
-        "lr": _dataclass_to_json(cfg.lr),
-        "sgd": _dataclass_to_json(cfg.sgd),
+        "scene": asdict(cfg.scene),
+        "lr": asdict(cfg.lr),
+        "sgd": asdict(cfg.sgd),
         "schedule": _schedule_to_json(cfg.schedule),
-        "time_model": _dataclass_to_json(cfg.time_model),
+        "time_model": asdict(cfg.time_model),
         "output_dir": cfg.output_dir,
     }
 
@@ -185,11 +178,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     kwargs = {}
-    for key in ("seed", "total_epochs", "eval_every", "n_train", "n_val", "output_dir"):
+    for key in ("seed", "total_epochs", "eval_every", "n_train", "n_val", "arch", "output_dir"):
         if key in raw:
             kwargs[key] = raw[key]
-    if "arch" in raw:
-        kwargs["arch"] = raw["arch"]
     seed = kwargs.get("seed", 0)
     scene_raw = dict(raw.get("scene", {}))
     scene_raw.setdefault("seed", seed)
@@ -379,23 +370,19 @@ def write_curves_csv(records: Sequence[EpochRecord], path) -> None:
                              r.cum_flops, _fmt(r.val_map50)])
 
 
+def _curves_row(row) -> EpochRecord:
+    return EpochRecord(
+        epoch=int(row[0]),
+        frozen=int(row[1]),
+        mean_loss=float(row[2]),
+        lr=float(row[3]),
+        cum_flops=int(row[4]),
+        val_map50=None if row[5] == MISSING else float(row[5]),
+    )
+
+
 def read_curves_csv(path) -> list[EpochRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CURVES_COLUMNS:
-            raise ValueError(f"unexpected curves header in {path}: {header}")
-        for row in reader:
-            out.append(EpochRecord(
-                epoch=int(row[0]),
-                frozen=int(row[1]),
-                mean_loss=float(row[2]),
-                lr=float(row[3]),
-                cum_flops=int(row[4]),
-                val_map50=None if row[5] == MISSING else float(row[5]),
-            ))
-    return out
+    return read_csv_rows(path, CURVES_COLUMNS, _curves_row)
 
 
 def emit_report(
@@ -406,41 +393,40 @@ def emit_report(
     out_dir,
     baseline_ledger: Optional[FlopsLedger] = None,
 ) -> None:
-    """Write curves.csv, ledger.csv, summary.csv into out_dir.
+    """Write curves.csv, ledger.csv, summary.csv into out_dir, each one
+    atomically.
 
     Emission is deterministic: the same inputs produce byte-identical
     files. Without a baseline ledger the delta column holds an explicit
     NA marker.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    write_curves_csv(records, os.path.join(out_dir, "curves.csv"))
-    write_ledger_csv(ledger, os.path.join(out_dir, "ledger.csv"))
-
     delta = None
     if baseline_ledger is not None:
         delta = delta_flops(ledger, baseline_ledger)
     minutes = estimate_training_time(cfg.time_model, cfg.schedule, cfg.total_epochs)
+    row = [
+        cfg.schedule.describe(),
+        cfg.total_epochs,
+        _fmt(report.map50),
+        ledger.total_flops(),
+        MISSING if delta is None else delta,
+        _fmt(minutes),
+    ]
 
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    _write_atomically(os.path.join(out_dir, "curves.csv"), write_curves_csv, records)
+    _write_atomically(os.path.join(out_dir, "ledger.csv"), write_ledger_csv, ledger)
+    _write_atomically(os.path.join(out_dir, "summary.csv"), _write_summary_csv, row)
+
+
+def _write_summary_csv(row, path) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow([
-            cfg.schedule.describe(),
-            cfg.total_epochs,
-            _fmt(report.map50),
-            ledger.total_flops(),
-            MISSING if delta is None else delta,
-            _fmt(minutes),
-        ])
+        writer.writerow(row)
 
 
-def read_summary_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != SUMMARY_COLUMNS:
-            raise ValueError(f"unexpected summary header in {path}: {header}")
-        row = next(reader)
+def _summary_row(row) -> dict:
     out = dict(zip(SUMMARY_COLUMNS, row))
     out["total_epochs"] = int(out["total_epochs"])
     out["final_map50"] = float(out["final_map50"])
@@ -452,21 +438,52 @@ def read_summary_csv(path) -> dict:
     return out
 
 
+def read_summary_csv(path) -> dict:
+    rows = read_csv_rows(path, SUMMARY_COLUMNS, _summary_row)
+    if len(rows) != 1:
+        raise ValueError(f"{path} holds {len(rows)} summary rows, expected 1")
+    return rows[0]
+
+
+def _write_atomically(path, write, *args) -> None:
+    """Call write(*args, tmp) on a temp file beside `path`, then rename it
+    into place, so `path` is always either its old or its new content."""
+    tmp = f"{path}.tmp"
+    try:
+        write(*args, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_run_dir(result: RunResult, baseline_ledger: Optional[FlopsLedger] = None) -> None:
+    """Write the run directory file by file, each one atomically.
+
+    checkpoint.bin goes last (and a stale one is removed first), so its
+    presence marks a completed run.
+    """
     cfg = result.config
     out_dir = cfg.output_dir
     if out_dir is None:
         raise ValueError("config has no output_dir")
     os.makedirs(out_dir, exist_ok=True)
-    save_config(cfg, os.path.join(out_dir, "config.json"))
+    checkpoint = os.path.join(out_dir, "checkpoint.bin")
+    if os.path.exists(checkpoint):
+        os.remove(checkpoint)
+    _write_atomically(os.path.join(out_dir, "config.json"), save_config, cfg)
     emit_report(result.records, result.ledger, result.report, cfg, out_dir,
                 baseline_ledger=baseline_ledger)
-    save_checkpoint(result.detector, os.path.join(out_dir, "checkpoint.bin"))
+    _write_atomically(checkpoint, save_checkpoint, result.detector)
 
 
 def rebuild_summary(run_dir, baseline_dir) -> None:
     """Recompute run_dir/summary.csv with deltas against baseline_dir's
-    ledger; both directories must hold completed runs."""
+    ledger; both directories must hold completed runs, i.e. carry the
+    checkpoint.bin that write_run_dir writes last."""
+    for d in (run_dir, baseline_dir):
+        if not os.path.exists(os.path.join(d, "checkpoint.bin")):
+            raise ValueError(f"{d} is not a completed run directory: it has no checkpoint.bin")
     cfg = load_config(os.path.join(run_dir, "config.json"))
     records = read_curves_csv(os.path.join(run_dir, "curves.csv"))
     ledger = read_ledger_csv(os.path.join(run_dir, "ledger.csv"))

@@ -18,8 +18,9 @@ pass still runs every epoch, while its backward cost is zero.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .schedule import ScheduleSpec, phase_freeze_signal, BACKBONE_UNFROZEN
 
@@ -30,9 +31,9 @@ __all__ = [
     "FlopsLedger",
     "TimeModel",
     "layer_forward_flops",
-    "total_flops",
     "delta_flops",
     "estimate_training_time",
+    "read_csv_rows",
     "write_ledger_csv",
     "read_ledger_csv",
 ]
@@ -58,47 +59,19 @@ class LayerFlopsSpec:
 def layer_forward_flops(layer, input_shape: Sequence[int]) -> int:
     """Exact forward FLOPs of one layer for a single sample.
 
-    `layer` provides `kind` and the hyperparameters for that kind (see
-    model.Layer); `input_shape` is the per-sample input shape, without the
-    batch axis.
+    `layer` is a model.Layer and `input_shape` the per-sample input shape,
+    without the batch axis. The cost is priced per output element of
+    `layer.output_shape(input_shape)`, which also rejects an input the
+    layer cannot consume (ShapeChainError, a ValueError).
     """
-    kind = layer.kind
-    input_shape = tuple(int(s) for s in input_shape)
-    if kind == "dense":
-        if len(input_shape) != 1 or input_shape[0] != layer.in_features:
-            raise ValueError(f"dense layer expects shape ({layer.in_features},), got {input_shape}")
-        return 2 * layer.in_features * layer.out_features + layer.out_features
-    if kind == "conv2d":
-        if len(input_shape) != 3 or input_shape[0] != layer.in_channels:
-            raise ValueError(f"conv2d layer expects shape ({layer.in_channels}, H, W), got {input_shape}")
-        _, h, w = input_shape
-        k, s = layer.kernel, layer.stride
-        if h < k or w < k:
-            raise ValueError(f"conv2d input {input_shape} smaller than kernel {k}")
-        ho, wo = (h - k) // s + 1, (w - k) // s + 1
-        cells = layer.out_channels * ho * wo
-        return (2 * layer.in_channels * k * k) * cells + cells
-    if kind == "relu":
-        return _element_count(input_shape)
-    if kind == "flatten":
-        return _element_count(input_shape)
-    if kind == "maxpool2d":
-        if len(input_shape) != 3:
-            raise ValueError(f"maxpool2d layer expects shape (C, H, W), got {input_shape}")
-        c, h, w = input_shape
-        k, s = layer.kernel, layer.stride
-        if h < k or w < k:
-            raise ValueError(f"maxpool2d input {input_shape} smaller than window {k}")
-        ho, wo = (h - k) // s + 1, (w - k) // s + 1
-        return (k * k - 1) * c * ho * wo
-    raise ValueError(f"no FLOPs rule for layer kind {kind!r}")
-
-
-def _element_count(shape: Sequence[int]) -> int:
-    n = 1
-    for s in shape:
-        n *= int(s)
-    return n
+    out = math.prod(layer.output_shape(input_shape))
+    if layer.kind == "dense":
+        return (2 * layer.in_features + 1) * out
+    if layer.kind == "conv2d":
+        return (2 * layer.in_channels * layer.kernel * layer.kernel + 1) * out
+    if layer.kind == "maxpool2d":
+        return (layer.kernel * layer.kernel - 1) * out
+    return out  # relu, flatten
 
 
 @dataclass(frozen=True)
@@ -113,6 +86,10 @@ class EpochFlopsRecord:
         return sum(self.forward.values()) + sum(self.backward.values())
 
 
+def _signature(model: Iterable[LayerFlopsSpec]) -> tuple:
+    return tuple((s.layer_id, s.group, s.forward_flops_per_sample) for s in model)
+
+
 class FlopsLedger:
     """Per-epoch, per-group FLOP records for one training run.
 
@@ -124,12 +101,7 @@ class FlopsLedger:
     def __init__(self, model: Optional[Iterable[LayerFlopsSpec]] = None):
         self.records: list[EpochFlopsRecord] = []
         self._epochs: set[int] = set()
-        if model is None:
-            self.model_signature = None
-        else:
-            self.model_signature = tuple(
-                (spec.layer_id, spec.group, spec.forward_flops_per_sample) for spec in model
-            )
+        self.model_signature = None if model is None else _signature(model)
 
     def record_epoch(self, epoch: int, freeze: int, model: Sequence[LayerFlopsSpec], n_samples: int) -> None:
         """Charge one epoch: every group pays forward cost for N samples;
@@ -141,7 +113,7 @@ class FlopsLedger:
             raise ValueError(f"freeze signal must be 0 or 1, got {freeze!r}")
         if n_samples < 0:
             raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-        signature = tuple((s.layer_id, s.group, s.forward_flops_per_sample) for s in model)
+        signature = _signature(model)
         if self.model_signature is None:
             self.model_signature = signature
         elif signature != self.model_signature:
@@ -175,10 +147,6 @@ class FlopsLedger:
             (r.epoch, r.n_samples, r.forward["backbone"], r.forward["neck"] + r.forward["head"])
             for r in ordered
         )
-
-
-def total_flops(ledger: FlopsLedger) -> int:
-    return ledger.total_flops()
 
 
 def delta_flops(candidate: FlopsLedger, baseline: FlopsLedger) -> int:
@@ -231,21 +199,10 @@ def write_ledger_csv(ledger: FlopsLedger, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LEDGER_COLUMNS)
-        running = 0
-        for r in ledger.records:
-            running += r.total()
-            writer.writerow(
-                [
-                    r.epoch,
-                    r.frozen,
-                    r.n_samples,
-                    r.forward["backbone"],
-                    r.backward["backbone"],
-                    r.forward["neck"] + r.forward["head"],
-                    r.backward["neck"] + r.backward["head"],
-                    running,
-                ]
-            )
+        for r, running in zip(ledger.records, ledger.cumulative_totals()):
+            writer.writerow([r.epoch, r.frozen, r.n_samples, r.forward["backbone"], r.backward["backbone"],
+                             r.forward["neck"] + r.forward["head"], r.backward["neck"] + r.backward["head"],
+                             running])
 
 
 def read_ledger_csv(path) -> FlopsLedger:
@@ -254,19 +211,53 @@ def read_ledger_csv(path) -> FlopsLedger:
     The neck/head split is not recoverable from the file (they are exported
     as a combined "rest" column), so the loaded records carry the combined
     value under "head". Totals and run-shape comparisons are unaffected.
+    Every row must carry a 0/1 freeze flag, a new epoch, and the running
+    total of the rows so far in `cum_total`.
     """
     ledger = FlopsLedger()
+    running = 0
+
+    def add_row(row):
+        nonlocal running
+        epoch, frozen, n, fwd_backbone, bwd_backbone, fwd_rest, bwd_rest, cum_total = map(int, row)
+        if frozen not in (0, 1):
+            raise ValueError(f"frozen must be 0 or 1, got {frozen}")
+        if epoch in ledger._epochs:
+            raise ValueError(f"duplicate epoch {epoch}")
+        fwd = {"backbone": fwd_backbone, "neck": 0, "head": fwd_rest}
+        bwd = {"backbone": bwd_backbone, "neck": 0, "head": bwd_rest}
+        record = EpochFlopsRecord(epoch, frozen, n, fwd, bwd)
+        running += record.total()
+        if cum_total != running:
+            raise ValueError(f"cum_total {cum_total} differs from the running row sum {running}")
+        ledger.records.append(record)
+        ledger._epochs.add(epoch)
+
+    read_csv_rows(path, LEDGER_COLUMNS, add_row)
+    return ledger
+
+
+def read_csv_rows(path, columns: Sequence[str], convert: Callable[[list], object]) -> list:
+    """`convert(row)` for every data row of a CSV file headed by `columns`.
+
+    An empty file, a foreign header, a row of the wrong width, or a row
+    that `convert` rejects with a ValueError all raise one ValueError that
+    names the file (and the line, for row faults).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != LEDGER_COLUMNS:
-            raise ValueError(f"unexpected ledger header in {path}: {header}")
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty; expected the header {','.join(columns)}")
+        if tuple(header) != tuple(columns):
+            raise ValueError(f"unexpected header in {path}: {header}")
+        out = []
         for row in reader:
-            epoch, frozen, n = int(row[0]), int(row[1]), int(row[2])
-            fwd = {"backbone": int(row[3]), "neck": 0, "head": int(row[5])}
-            bwd = {"backbone": int(row[4]), "neck": 0, "head": int(row[6])}
-            if epoch in ledger._epochs:
-                raise ValueError(f"duplicate epoch {epoch} in {path}")
-            ledger.records.append(EpochFlopsRecord(epoch, frozen, n, fwd, bwd))
-            ledger._epochs.add(epoch)
-    return ledger
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(columns):
+                raise ValueError(f"{where}: expected {len(columns)} fields, got {len(row)}")
+            try:
+                out.append(convert(row))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return out

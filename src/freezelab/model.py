@@ -11,6 +11,7 @@ while no gradient can reach any backbone parameter.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -81,21 +82,16 @@ class Layer:
             if not (isinstance(in_features, int) and in_features >= 1
                     and isinstance(out_features, int) and out_features >= 1):
                 raise ValueError(f"dense layer {layer_id} needs positive in_features/out_features")
-        elif kind == "conv2d":
-            if not (isinstance(in_channels, int) and in_channels >= 1
-                    and isinstance(out_channels, int) and out_channels >= 1):
+        elif kind in ("conv2d", "maxpool2d"):
+            if kind == "conv2d" and not (isinstance(in_channels, int) and in_channels >= 1
+                                         and isinstance(out_channels, int) and out_channels >= 1):
                 raise ValueError(f"conv2d layer {layer_id} needs positive channel counts")
             if not (isinstance(kernel, int) and kernel >= 1):
-                raise ValueError(f"conv2d layer {layer_id} needs a positive kernel")
-            self.stride = 1 if stride is None else stride
+                raise ValueError(f"{kind} layer {layer_id} needs a positive kernel")
+            if stride is None:  # conv slides by one, pooling windows tile
+                self.stride = 1 if kind == "conv2d" else kernel
             if not (isinstance(self.stride, int) and self.stride >= 1):
-                raise ValueError(f"conv2d layer {layer_id} needs a positive stride")
-        elif kind == "maxpool2d":
-            if not (isinstance(kernel, int) and kernel >= 1):
-                raise ValueError(f"maxpool2d layer {layer_id} needs a positive kernel")
-            self.stride = kernel if stride is None else stride
-            if not (isinstance(self.stride, int) and self.stride >= 1):
-                raise ValueError(f"maxpool2d layer {layer_id} needs a positive stride")
+                raise ValueError(f"{kind} layer {layer_id} needs a positive stride")
 
     def describe(self) -> str:
         if self.kind == "dense":
@@ -117,38 +113,22 @@ class Layer:
                     f"input of size {self.in_features}, got shape {shape}"
                 )
             return (self.out_features,)
-        if self.kind == "conv2d":
-            if len(shape) != 3 or shape[0] != self.in_channels:
+        if self.kind in ("conv2d", "maxpool2d"):
+            conv = self.kind == "conv2d"
+            if len(shape) != 3 or (conv and shape[0] != self.in_channels):
+                expect = f"[{self.in_channels}, H, W]" if conv else "[C, H, W]"
                 raise ShapeChainError(
-                    f"layer {self.layer_id} ({self.describe()}) expects "
-                    f"[{self.in_channels}, H, W], got shape {shape}"
-                )
-            _, h, w = shape
-            if h < self.kernel or w < self.kernel:
-                raise ShapeChainError(
-                    f"layer {self.layer_id} ({self.describe()}) kernel does not fit input {shape}"
-                )
-            ho = (h - self.kernel) // self.stride + 1
-            wo = (w - self.kernel) // self.stride + 1
-            return (self.out_channels, ho, wo)
-        if self.kind == "maxpool2d":
-            if len(shape) != 3:
-                raise ShapeChainError(
-                    f"layer {self.layer_id} ({self.describe()}) expects [C, H, W], got shape {shape}"
+                    f"layer {self.layer_id} ({self.describe()}) expects {expect}, got shape {shape}"
                 )
             c, h, w = shape
             if h < self.kernel or w < self.kernel:
                 raise ShapeChainError(
                     f"layer {self.layer_id} ({self.describe()}) window does not fit input {shape}"
                 )
-            ho = (h - self.kernel) // self.stride + 1
-            wo = (w - self.kernel) // self.stride + 1
-            return (c, ho, wo)
+            ho, wo = ad.conv_out_hw(h, w, self.kernel, self.kernel, self.stride)
+            return (self.out_channels if conv else c, ho, wo)
         if self.kind == "flatten":
-            n = 1
-            for s in shape:
-                n *= s
-            return (n,)
+            return (math.prod(shape),)
         return shape  # relu
 
 
@@ -242,21 +222,17 @@ def _init_layer_params(layer: Layer, init_seed: int) -> None:
     # biases start at zero. Each layer draws from its own stream keyed by
     # layer_id, so initialization does not depend on build order.
     if layer.kind == "dense":
-        fan_in, fan_out = layer.in_features, layer.out_features
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        rng = generator(init_seed, STREAM_PARAM_INIT, layer.layer_id)
-        w = rng.uniform(-a, a, size=(fan_in, fan_out))
-        layer.params["weight"] = Tensor(w, requires_grad=True)
-        layer.params["bias"] = Tensor(np.zeros(fan_out), requires_grad=True)
+        n_in, n_out, taps = layer.in_features, layer.out_features, 1
+        shape = (n_in, n_out)
     elif layer.kind == "conv2d":
-        k = layer.kernel
-        fan_in = layer.in_channels * k * k
-        fan_out = layer.out_channels * k * k
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        rng = generator(init_seed, STREAM_PARAM_INIT, layer.layer_id)
-        w = rng.uniform(-a, a, size=(layer.out_channels, layer.in_channels, k, k))
-        layer.params["weight"] = Tensor(w, requires_grad=True)
-        layer.params["bias"] = Tensor(np.zeros(layer.out_channels), requires_grad=True)
+        n_in, n_out, taps = layer.in_channels, layer.out_channels, layer.kernel * layer.kernel
+        shape = (n_out, n_in, layer.kernel, layer.kernel)
+    else:
+        return
+    a = np.sqrt(6.0 / (n_in * taps + n_out * taps))
+    w = generator(init_seed, STREAM_PARAM_INIT, layer.layer_id).uniform(-a, a, size=shape)
+    layer.params["weight"] = Tensor(w, requires_grad=True)
+    layer.params["bias"] = Tensor(np.zeros(n_out), requires_grad=True)
 
 
 def build_detector(arch_config: dict, init_seed: int) -> Detector:
@@ -586,31 +562,35 @@ def save_checkpoint(d: Detector, path) -> None:
 
 def load_checkpoint(path) -> list[tuple[int, str, np.ndarray]]:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC:
+        blob = memoryview(fh.read())
+    offset = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise ValueError(f"{path} is truncated at byte {offset}: {what} needs {n} bytes, "
+                             f"{len(blob) - offset} remain")
+        offset += n
+        return blob[offset - n : offset]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    if take(4, "magic") != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file")
-    version, count = struct.unpack_from("<HI", blob, 4)
+    version, count = unpack("<HI", "header")
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    offset = 10
     entries = []
     for _ in range(count):
-        layer_id, name_len = struct.unpack_from("<IH", blob, offset)
-        offset += 6
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        n = 1
-        for s in shape:
-            n *= s
-        values = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
-        entries.append((layer_id, name, values.astype(np.float64)))
+        layer_id, name_len = unpack("<IH", "entry header")
+        name = str(take(name_len, "name"), "utf-8")
+        (ndim,) = unpack("<B", "ndim")
+        shape = unpack(f"<{ndim}I", "dims")
+        values = np.frombuffer(take(8 * math.prod(shape), f"values of {name!r}"), dtype="<f8")
+        entries.append((layer_id, name, values.reshape(shape).astype(np.float64)))
     if offset != len(blob):
-        raise ValueError(f"{path} has {len(blob) - offset} trailing bytes")
+        raise ValueError(f"{path} has {len(blob) - offset} trailing bytes after byte {offset}")
     return entries
 
 

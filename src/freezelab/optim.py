@@ -25,9 +25,6 @@ class SgdConfig:
     weight_decay: float = 1e-4
     clip_max_norm: float = 35.0
     batch_size: int = 8
-    # Drop velocity for parameters while they are frozen instead of keeping
-    # it stale for the next unfrozen epoch. Off by default; ablation knob.
-    reset_velocity_when_frozen: bool = False
 
     def __post_init__(self):
         if not (0 <= self.momentum < 1):
@@ -86,8 +83,6 @@ def sgd_step(
     for key, p in params.items():
         g = grads.get(key)
         if g is None:
-            if cfg.reset_velocity_when_frozen:
-                state.velocity.pop(key, None)
             continue
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {key!r} of shape {p.shape}")

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import shutil
 
 import pytest
 
@@ -91,6 +92,23 @@ def test_report_rebuilds_the_summary(tmp_path, capsys):
     assert main(["report", "--run", str(run_out), "--baseline", str(base_out)]) == 0
     assert "summary rebuilt" in capsys.readouterr().out
     assert read_summary_csv(run_out / "summary.csv")["delta_flops_vs_baseline"] < 0
+
+
+@pytest.mark.parametrize("incomplete", ["run", "base"])
+def test_report_refuses_a_run_directory_without_checkpoint(tmp_path, capsys, incomplete):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path, epochs=1)
+    dirs = {"run": tmp_path / "run", "base": tmp_path / "base"}
+    assert main(["run", "--config", str(cfg_path), "--out", str(dirs["run"])]) == 0
+    shutil.copytree(dirs["run"], dirs["base"])
+    (dirs[incomplete] / "checkpoint.bin").unlink()
+    summary = (dirs["run"] / "summary.csv").read_bytes()
+
+    capsys.readouterr()
+    assert main(["report", "--run", str(dirs["run"]), "--baseline", str(dirs["base"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(dirs[incomplete]) in err and "checkpoint.bin" in err
+    assert (dirs["run"] / "summary.csv").read_bytes() == summary
 
 
 def test_grid_sweeps_and_aggregates(tmp_path, capsys):

@@ -4,8 +4,7 @@ balance, and the train/val split."""
 import numpy as np
 import pytest
 
-from freezelab.data import Scene, SceneConfig, dump_dataset, generate_dataset, generate_scene
-from freezelab.evaluation import read_ground_truth_csv
+from freezelab.data import Scene, SceneConfig, generate_dataset, generate_scene
 from freezelab.rng import STREAM_SCENE, generator, philox_key
 
 
@@ -135,21 +134,6 @@ def test_val_scenes_match_their_global_indices():
     _, val = generate_dataset(cfg, 8, 2)
     assert np.array_equal(val[0].image.data, generate_scene(cfg, 8).image.data)
     assert np.array_equal(val[1].image.data, generate_scene(cfg, 9).image.data)
-
-
-def test_dump_dataset_files(tmp_path):
-    cfg = SceneConfig()
-    train, _ = generate_dataset(cfg, 3, 0)
-    images_path = tmp_path / "images.npy"
-    gt_path = tmp_path / "boxes.csv"
-    dump_dataset(train, images_path, gt_path)
-
-    stack = np.load(images_path)
-    assert stack.shape == (3, 3, 32, 32)
-    for scene, image in zip(train, stack):
-        assert np.array_equal(scene.image.data, image)
-    loaded = read_ground_truth_csv(gt_path)
-    assert loaded == [gt for s in train for gt in s.ground_truths]
 
 
 # --------------------------------------------------------------------------

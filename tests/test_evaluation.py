@@ -16,10 +16,6 @@ from freezelab.evaluation import (
     map50,
     match_detections,
     precision_recall,
-    read_detections_csv,
-    read_ground_truth_csv,
-    write_detections_csv,
-    write_ground_truth_csv,
 )
 
 
@@ -178,13 +174,6 @@ def test_tp_fp_tp_ap():
     assert ap == pytest.approx(5 / 6, abs=1e-15)
 
 
-def test_eleven_point_variant():
-    assert average_precision([True, True], [0.9, 0.8], 2, eleven_point=True) == 1.0
-    ap11 = average_precision([True, False, True], [0.9, 0.8, 0.7], 2, eleven_point=True)
-    # 6 recall samples see precision 1.0, the other 5 see the 2/3 envelope
-    assert ap11 == pytest.approx(28 / 33, abs=1e-12)
-
-
 def test_ap_requires_ground_truth():
     with pytest.raises(ValueError):
         average_precision([True], [0.9], 0)
@@ -197,9 +186,8 @@ def test_ap_stays_in_unit_interval():
         flags = [bool(b) for b in rng.integers(0, 2, size=n)]
         scores = list(rng.uniform(0, 1, size=n))
         n_gt = max(1, sum(flags) + int(rng.integers(0, 4)))
-        for eleven in (False, True):
-            ap = average_precision(flags, scores, n_gt, eleven_point=eleven)
-            assert 0.0 <= ap <= 1.0
+        ap = average_precision(flags, scores, n_gt)
+        assert 0.0 <= ap <= 1.0
 
 
 def test_ap_invariant_under_monotone_score_rescaling():
@@ -353,35 +341,3 @@ def test_map_matches_reference_exhaustively_on_small_grid():
                     assert got == pytest.approx(want, abs=1e-12), (dets, gts)
                     checked += 1
     assert checked > 5000
-
-
-# --------------------------------------------------------------------------
-# CSV round trips
-
-
-def test_detections_csv_round_trip(tmp_path):
-    dets = [
-        _det(0.9375, BBox(0.1, 0.2, 3.3, 4.7), image_id=2, class_id=1),
-        _det(1 / 3, BBox(0.0, 0.0, 1e-3, 2.5)),
-    ]
-    path = tmp_path / "dets.csv"
-    write_detections_csv(dets, path)
-    assert read_detections_csv(path) == dets
-    assert path.read_text().splitlines()[0] == "image_id,class_id,score,xmin,ymin,xmax,ymax"
-
-
-def test_ground_truth_csv_round_trip(tmp_path):
-    gts = [_gt(BBox(5.5, 6.25, 9.0, 12.125), image_id=4, class_id=2)]
-    path = tmp_path / "gts.csv"
-    write_ground_truth_csv(gts, path)
-    assert read_ground_truth_csv(path) == gts
-    assert path.read_text().splitlines()[0] == "image_id,class_id,xmin,ymin,xmax,ymax"
-
-
-def test_csv_header_validation(tmp_path):
-    path = tmp_path / "odd.csv"
-    path.write_text("a,b,c\n")
-    with pytest.raises(ValueError):
-        read_detections_csv(path)
-    with pytest.raises(ValueError):
-        read_ground_truth_csv(path)

@@ -3,16 +3,20 @@ and the run-directory report files."""
 
 import hashlib
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from freezelab import experiment
 from freezelab.autodiff import Tape, Tensor, backward
 from freezelab.data import SceneConfig, generate_dataset
 from freezelab.evaluation import EvalReport
 from freezelab.experiment import (
     CONFIG_VERSION,
     CURVES_COLUMNS,
+    SUMMARY_COLUMNS,
     EpochRecord,
     ExperimentConfig,
     config_from_dict,
@@ -345,6 +349,32 @@ def test_curves_reader_rejects_foreign_header(tmp_path):
         read_curves_csv(path)
 
 
+@pytest.mark.parametrize("reader,columns", [
+    (read_curves_csv, CURVES_COLUMNS),
+    (read_summary_csv, SUMMARY_COLUMNS),
+], ids=["curves", "summary"])
+def test_readers_name_the_file_and_line_of_a_fault(tmp_path, reader, columns):
+    path = tmp_path / "report.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="is empty"):
+        reader(path)
+    header = ",".join(columns) + "\n"
+    path.write_text(header + "0,1\n")
+    with pytest.raises(ValueError, match="line 2: expected 6 fields, got 2"):
+        reader(path)
+    path.write_text(header + "x,0,0.5,0.1,7,NA\n")
+    with pytest.raises(ValueError, match="line 2: ") as exc:
+        reader(path)
+    assert str(path) in str(exc.value)
+
+
+def test_summary_reader_needs_exactly_one_row(tmp_path):
+    path = tmp_path / "summary.csv"
+    path.write_text(",".join(SUMMARY_COLUMNS) + "\n")
+    with pytest.raises(ValueError, match="0 summary rows"):
+        read_summary_csv(path)
+
+
 def test_emit_report_is_byte_identical(tmp_path):
     cfg = _small_config([(2, 1), (math.inf, 2)], epochs=4)
     run = run_experiment(cfg)
@@ -432,3 +462,27 @@ def test_rebuild_summary_fills_delta_after_the_fact(tmp_path):
     assert after["delta_flops_vs_baseline"] == delta_flops(run.ledger, base.ledger)
     assert after["final_map50"] == run.records[-1].val_map50
     assert after["total_flops"] == before["total_flops"]
+
+
+@pytest.mark.parametrize("writer", ["write_ledger_csv", "save_checkpoint"])
+def test_interrupted_write_keeps_whole_files_and_marks_the_run_incomplete(tmp_path, monkeypatch, writer):
+    out = tmp_path / "run"
+    run = run_experiment(replace(_small_config([(math.inf, 1)], epochs=1, n_val=0), output_dir=str(out)))
+    names = ["checkpoint.bin", "config.json", "curves.csv", "ledger.csv", "summary.csv"]
+    assert sorted(os.listdir(out)) == names
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def crash(obj, path):
+        with open(path, "wb") as fh:
+            fh.write(b"FZCK")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, writer, crash)
+    with pytest.raises(OSError):
+        write_run_dir(run)
+    assert sorted(os.listdir(out)) == names[1:]
+    for name in names[1:]:
+        assert (out / name).read_bytes() == before[name], name
+    with pytest.raises(ValueError, match="no checkpoint.bin") as exc:
+        rebuild_summary(str(out), str(out))
+    assert str(out) in str(exc.value)

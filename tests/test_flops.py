@@ -15,7 +15,6 @@ from freezelab.flops import (
     estimate_training_time,
     layer_forward_flops,
     read_ledger_csv,
-    total_flops,
     write_ledger_csv,
 )
 from freezelab.model import Layer
@@ -101,7 +100,7 @@ def test_two_epoch_totals():
     ledger = FlopsLedger()
     ledger.record_epoch(0, 0, _two_group_model(), n_samples=10)
     ledger.record_epoch(1, 1, _two_group_model(), n_samples=10)
-    assert total_flops(ledger) == 7000
+    assert ledger.total_flops() == 7000
     assert ledger.cumulative_totals() == [4500, 7000]
 
 
@@ -327,3 +326,26 @@ def test_ledger_csv_rejects_duplicate_epochs(tmp_path):
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
     with pytest.raises(ValueError):
         read_ledger_csv(path)
+
+
+def _with_field(line, index, value):
+    fields = line.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda lines: [], "is empty"),
+    (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], lines[2]], "line 2: expected 8 fields, got 7"),
+    (lambda lines: [lines[0], _with_field(lines[1], 1, "7"), lines[2]], "line 2: frozen must be 0 or 1, got 7"),
+    (lambda lines: [lines[0], lines[1], _with_field(lines[2], 7, "1")], "line 3: cum_total 1 differs"),
+    (lambda lines: [lines[0], _with_field(lines[1], 3, "x"), lines[2]], "line 2: invalid literal"),
+], ids=["empty", "short-row", "frozen-7", "cum-total", "not-an-int"])
+def test_ledger_csv_rejects_malformed_files(tmp_path, mangle, message):
+    path = tmp_path / "ledger.csv"
+    write_ledger_csv(_run_ledger(_two_group_model(), [0, 1], 10), path)
+    lines = mangle(path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError) as exc:
+        read_ledger_csv(path)
+    assert str(path) in str(exc.value) and message in str(exc.value)

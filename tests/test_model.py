@@ -522,3 +522,15 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     padded.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError):
         load_checkpoint(padded)
+
+
+@pytest.mark.parametrize("cut", [8, 20, 100, -3])
+def test_truncated_checkpoint_names_file_and_offset(tmp_path, cut):
+    d = build_detector(_tiny_arch(), init_seed=0)
+    path = tmp_path / "model.bin"
+    save_checkpoint(d, path)
+    short = tmp_path / "short.bin"
+    short.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(short)
+    assert f"{short} is truncated at byte " in str(exc.value)

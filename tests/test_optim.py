@@ -147,16 +147,6 @@ def test_stale_velocity_reused_on_unfreeze():
     assert state.velocity["w"][0] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_reset_velocity_flag_drops_frozen_buffers():
-    params = {"w": Tensor(np.array([0.0]))}
-    cfg = SgdConfig(momentum=0.5, weight_decay=0.0, reset_velocity_when_frozen=True)
-    state = OptimState()
-    sgd_step(params, _grads(w=[1.0]), state, lr=1.0, cfg=cfg)
-    assert "w" in state.velocity
-    sgd_step(params, {}, state, lr=1.0, cfg=cfg)
-    assert "w" not in state.velocity
-
-
 def test_shape_mismatch_rejected():
     params = {"w": Tensor(np.ones((2, 2)))}
     with pytest.raises(ValueError):
