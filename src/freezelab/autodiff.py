@@ -8,6 +8,14 @@ from its producers so nothing upstream of it ever receives gradient, and
 :func:`pause_recording` lets a caller run a subgraph without building tape
 nodes at all (identical forward values, no backward path).
 
+Activity rule (the "activity analysis" of Griewank & Walther, *Evaluating
+Derivatives*): conv2d and matmul, whose adjoints cost real work, read each
+operand's ``requires_grad`` when they record their node, and their
+backward functions return None for every operand that was not set. A leaf
+image or a detached tensor then costs no gradient work: conv2d skips its
+whole input-gradient sweep for it. A tensor produced on the tape always
+requires grad, so no adjoint that reaches a leaf is ever skipped.
+
 Values are always float64 and row-major. Tensors are treated as immutable
 once built; only an optimizer is expected to write into parameter ``data``
 buffers, and only between forward passes.
@@ -87,7 +95,7 @@ class Tensor:
 
 
 # A node's backward_fn maps the output adjoint to one adjoint per parent
-# (None for parents that need no gradient).
+# (None for parents that did not require grad when the node was recorded).
 BackwardFn = Callable[[np.ndarray], tuple]
 
 
@@ -204,8 +212,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: inner dimensions differ for {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if need_a else None), (ad.T @ g if need_b else None)
     return record_external("matmul", ad @ bd, (a, b), bwd)
 
 
@@ -215,12 +224,22 @@ def conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int) -> tuple[int, int
     return (h - kh) // stride + 1, (w - kw) // stride + 1
 
 
+def _taps(kh: int, kw: int, ho: int, wo: int, stride: int):
+    """(i, j, rows, cols) of every kernel tap in row-major order: the input
+    rows and columns that tap (i, j) of a window sweep reads."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, slice(i, i + (ho - 1) * stride + 1, stride), slice(j, j + (wo - 1) * stride + 1, stride)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int = 1) -> Tensor:
     """Valid (unpadded) 2-D convolution of [B,C,H,W] with [OC,IC,KH,KW].
 
-    Direct evaluation: the kernel-position loop below computes exactly the
-    naive quadruple sum, so the arithmetic matches the FLOP accounting for
-    this layer term for term. No im2col buffer, no FFT.
+    One small matrix product per kernel tap (KH*KW of them), summed in tap
+    order: each output, input-gradient and weight-gradient element is a
+    dot product of the same length and order as the direct loop over taps
+    and channels. Every patch copy lives only for the call that makes it;
+    the backward closure keeps the input, not its patches.
     """
     if not isinstance(stride, int) or stride < 1:
         raise ValueError(f"conv2d: stride must be a positive integer, got {stride!r}")
@@ -239,30 +258,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
 
     ho, wo = conv_out_hw(h, w, kh, kw, stride)
     xd, wd = x.data, weight.data
-    acc = np.zeros((b_, ho, wo, oc))
-    for i in range(kh):
-        for j in range(kw):
-            patch = xd[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
-            acc += np.tensordot(patch, wd[:, :, i, j], axes=([1], [1]))
-    out = np.ascontiguousarray(np.moveaxis(acc, 3, 1))
+    n = b_ * ho * wo
+
+    # Forward in channel-major layout: acc[OC, B*HO*WO] gains one small
+    # [OC, IC] x [IC, B*HO*WO] product per kernel tap.
+    wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # [KH, KW, OC, IC]
+    xc = xd.transpose(1, 0, 2, 3)
+    acc = np.zeros((oc, n))
+    for i, j, rows, cols in _taps(kh, kw, ho, wo, stride):
+        acc += wt[i, j] @ xc[:, :, rows, cols].reshape(ic, n)
+    out = np.ascontiguousarray(acc.reshape(oc, b_, ho, wo).transpose(1, 0, 2, 3))
     if bias is not None:
         out += bias.data[None, :, None, None]
 
     has_bias = bias is not None
+    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_b = has_bias and bias.requires_grad
 
     def bwd(g):
-        gx = np.zeros_like(xd)
-        gw = np.empty_like(wd)
-        for i in range(kh):
-            for j in range(kw):
-                rows = slice(i, i + (ho - 1) * stride + 1, stride)
-                cols = slice(j, j + (wo - 1) * stride + 1, stride)
-                patch = xd[:, :, rows, cols]
-                gw[:, :, i, j] = np.tensordot(g, patch, axes=([0, 2, 3], [0, 2, 3]))
-                spread = np.tensordot(g, wd[:, :, i, j], axes=([1], [0]))
-                gx[:, :, rows, cols] += np.moveaxis(spread, 3, 1)
+        gx = gw = None
+        if need_x:  # channel-last: [B*HO*WO, OC] x [OC, IC] per tap
+            gt = g.transpose(0, 2, 3, 1).reshape(n, oc)
+            gxt = np.zeros((b_, h, w, ic))
+            for i, j, rows, cols in _taps(kh, kw, ho, wo, stride):
+                gxt[:, rows, cols, :] += (gt @ wt[i, j]).reshape(b_, ho, wo, ic)
+            gx = np.ascontiguousarray(gxt.transpose(0, 3, 1, 2))
+        if need_w:  # [OC, B*HO*WO] x [B*HO*WO, IC] per tap
+            gc = g.transpose(1, 0, 2, 3).reshape(oc, n)
+            gw = np.empty_like(wd)
+            xt = np.ascontiguousarray(xd.transpose(0, 2, 3, 1))
+            for i, j, rows, cols in _taps(kh, kw, ho, wo, stride):
+                gw[:, :, i, j] = gc @ xt[:, rows, cols, :].reshape(n, ic)
         if has_bias:
-            return gx, gw, g.sum(axis=(0, 2, 3))
+            return gx, gw, (g.sum(axis=(0, 2, 3)) if need_b else None)
         return gx, gw
 
     inputs = (x, weight, bias) if has_bias else (x, weight)
@@ -293,15 +321,18 @@ def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     xd = x.data
     best = np.full((b_, c, ho, wo), -np.inf)
     winner = np.zeros((b_, c, ho, wo), dtype=np.int64)
-    for i in range(kernel):
-        for j in range(kernel):
-            vals = xd[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
-            better = vals > best
-            best = np.where(better, vals, best)
-            winner = np.where(better, i * kernel + j, winner)
+    for i, j, rows, cols in _taps(kernel, kernel, ho, wo, stride):
+        vals = xd[:, :, rows, cols]
+        better = vals > best
+        best = np.where(better, vals, best)
+        winner = np.where(better, i * kernel + j, winner)
 
     def bwd(g):
         gx = np.zeros_like(xd)
+        if stride >= kernel:  # windows do not overlap: each tap adds once
+            for i, j, rows, cols in _taps(kernel, kernel, ho, wo, stride):
+                gx[:, :, rows, cols] += np.where(winner == i * kernel + j, g, 0.0)
+            return (gx,)
         bi, ci, oy, ox = np.indices(g.shape)
         rows = oy * stride + winner // kernel
         cols = ox * stride + winner % kernel

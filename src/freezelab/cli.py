@@ -13,13 +13,14 @@ on stderr otherwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from dataclasses import replace
 
 from .experiment import (
+    _write_atomically,
+    _write_csv,
     default_config,
     load_config,
     read_summary_csv,
@@ -129,33 +130,28 @@ def _cmd_grid(args) -> int:
             print(f"rho={label} seed={seed}: mAP@50={summary['final_map50']:.4f} "
                   f"FLOPs={summary['total_flops']}")
 
-    with open(os.path.join(out_root, "grid_summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GRID_SUMMARY_COLUMNS)
-        for seed, label, fmap, flops_, dflops, minutes, dmap in rows:
-            writer.writerow([
-                seed, label, _fmt_float(fmap), flops_,
-                "NA" if dflops is None else dflops,
-                _fmt_float(minutes),
-                "NA" if dmap is None else _fmt_float(dmap),
-            ])
+    grid_rows = [
+        [seed, label, _fmt_float(fmap), flops_, "NA" if dflops is None else dflops,
+         _fmt_float(minutes), "NA" if dmap is None else _fmt_float(dmap)]
+        for seed, label, fmap, flops_, dflops, minutes, dmap in rows
+    ]
+    _write_atomically(os.path.join(out_root, "grid_summary.csv"), _write_csv, GRID_SUMMARY_COLUMNS, grid_rows)
 
     # Per-period change in mAP against the rho=1 baseline, aggregated over
     # seeds: mean and population standard deviation.
-    with open(os.path.join(out_root, "delta_map.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DELTA_MAP_COLUMNS)
-        for rho in rhos:
-            if rho == 1:
-                continue
-            values = per_rho_delta_map[rho]
-            n = len(values)
-            mean = sum(values) / n
-            std = math.sqrt(sum((v - mean) ** 2 for v in values) / n)
-            label = format_rho(rho)
-            formatted = f"{mean:+.4f} +/- {std:.4f}"
-            writer.writerow([label, n, _fmt_float(mean), _fmt_float(std), formatted])
-            print(f"delta mAP@50 (rho={label} vs rho=1): {formatted}")
+    delta_rows = []
+    for rho in rhos:
+        if rho == 1:
+            continue
+        values = per_rho_delta_map[rho]
+        n = len(values)
+        mean = sum(values) / n
+        std = math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+        label = format_rho(rho)
+        formatted = f"{mean:+.4f} +/- {std:.4f}"
+        delta_rows.append([label, n, _fmt_float(mean), _fmt_float(std), formatted])
+        print(f"delta mAP@50 (rho={label} vs rho=1): {formatted}")
+    _write_atomically(os.path.join(out_root, "delta_map.csv"), _write_csv, DELTA_MAP_COLUMNS, delta_rows)
 
     print(f"grid complete: {out_root}")
     return 0

@@ -25,6 +25,7 @@ from .evaluation import EvalReport, map50
 from .flops import (
     FlopsLedger,
     TimeModel,
+    check_same_run,
     delta_flops,
     estimate_training_time,
     read_csv_rows,
@@ -308,7 +309,13 @@ def run_experiment(cfg: ExperimentConfig, baseline_ledger: Optional[FlopsLedger]
     delta column."""
     train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
-    ledger = FlopsLedger(flops_specs(detector))
+    specs = flops_specs(detector)
+    ledger = FlopsLedger(specs)
+    if baseline_ledger is not None:  # the run's shape is known: reject a mismatch before training
+        planned = FlopsLedger(specs)
+        for epoch in range(cfg.total_epochs):
+            planned.record_epoch(epoch, 0, specs, len(train_scenes))
+        check_same_run(planned, baseline_ledger)
     state = OptimState()
 
     records = []
@@ -362,12 +369,8 @@ def _fmt(x) -> str:
 
 
 def write_curves_csv(records: Sequence[EpochRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CURVES_COLUMNS)
-        for r in records:
-            writer.writerow([r.epoch, r.frozen, _fmt(r.mean_loss), _fmt(r.lr),
-                             r.cum_flops, _fmt(r.val_map50)])
+    _write_csv(CURVES_COLUMNS, ([r.epoch, r.frozen, _fmt(r.mean_loss), _fmt(r.lr), r.cum_flops, _fmt(r.val_map50)]
+                                for r in records), path)
 
 
 def _curves_row(row) -> EpochRecord:
@@ -416,14 +419,14 @@ def emit_report(
     os.makedirs(out_dir, exist_ok=True)
     _write_atomically(os.path.join(out_dir, "curves.csv"), write_curves_csv, records)
     _write_atomically(os.path.join(out_dir, "ledger.csv"), write_ledger_csv, ledger)
-    _write_atomically(os.path.join(out_dir, "summary.csv"), _write_summary_csv, row)
+    _write_atomically(os.path.join(out_dir, "summary.csv"), _write_csv, SUMMARY_COLUMNS, [row])
 
 
-def _write_summary_csv(row, path) -> None:
+def _write_csv(header, rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _summary_row(row) -> dict:

@@ -43,7 +43,15 @@ __all__ = [
     "restore_checkpoint",
 ]
 
-LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d", "flatten")
+# The spec keys each layer kind takes, besides `kind` itself.
+_SPEC_KEYS = {
+    "dense": ("in_features", "out_features"),
+    "conv2d": ("in_channels", "out_channels", "kernel", "stride"),
+    "relu": (),
+    "maxpool2d": ("kernel", "stride"),
+    "flatten": (),
+}
+LAYER_KINDS = tuple(_SPEC_KEYS)
 
 
 class ShapeChainError(ValueError):
@@ -53,7 +61,8 @@ class ShapeChainError(ValueError):
 class Layer:
     """One architectural unit: kind, hyperparameters, and named parameters.
 
-    Parameter shapes follow the engine's conventions: dense weight is
+    `spec` holds the hyperparameters, only those `_SPEC_KEYS` lists for the
+    kind. Parameter shapes follow the engine's conventions: dense weight is
     [in_features, out_features], conv weight is [out_ch, in_ch, k, k].
     `params` is populated by build_detector; parameterless kinds keep it
     empty.
@@ -63,10 +72,15 @@ class Layer:
                  "in_channels", "out_channels", "kernel", "stride",
                  "params", "input_shape")
 
-    def __init__(self, kind: str, layer_id: int, *, in_features=None, out_features=None,
-                 in_channels=None, out_channels=None, kernel=None, stride=None):
+    def __init__(self, kind: str, layer_id: int, **spec):
         if kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {kind!r}; expected one of {LAYER_KINDS}")
+        for key in spec:
+            if key not in _SPEC_KEYS[kind]:
+                raise ValueError(f"{kind} layer {layer_id} does not take {key!r}")
+        in_features, out_features = spec.get("in_features"), spec.get("out_features")
+        in_channels, out_channels = spec.get("in_channels"), spec.get("out_channels")
+        kernel, stride = spec.get("kernel"), spec.get("stride")
         self.kind = kind
         self.layer_id = int(layer_id)
         self.in_features = in_features

@@ -309,3 +309,33 @@ def test_conv2d_accepts_bias_operand():
     b = Tensor(np.full(1, 0.5))
     out = ad.conv2d(x, k, bias=b, stride=1)
     assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.5))
+
+
+def test_inactive_operands_get_no_adjoint():
+    rng = np.random.default_rng(12)
+    image = rng.normal(size=(2, 3, 6, 5))
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    head = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    features = rng.normal(size=(6, 4))
+
+    def run(inputs_require_grad):
+        x = Tensor(image, requires_grad=inputs_require_grad)
+        f = Tensor(features, requires_grad=inputs_require_grad)
+        with Tape() as tape:
+            conv = ad.conv2d(x, w, bias=b)
+            dense = ad.matmul(f if inputs_require_grad else detach(f), head)
+            loss = ad.add(scalar_loss(conv), scalar_loss(dense))
+        adjoints = {out: tape.nodes[out.node_id].backward_fn(np.ones(out.shape)) for out in (conv, dense)}
+        return x, f, adjoints[conv], adjoints[dense], backward(loss, tape)
+
+    x, f, conv_adj, dense_adj, grads = run(False)
+    assert conv_adj[0] is None and dense_adj[0] is None
+    assert all(a is not None for a in conv_adj[1:] + dense_adj[1:])
+    assert set(grads) == {w.uid, b.uid, head.uid}
+
+    x_all, f_all, conv_all, dense_all, grads_all = run(True)
+    assert conv_all[0] is not None and dense_all[0] is not None
+    assert set(grads_all) == {x_all.uid, f_all.uid, w.uid, b.uid, head.uid}
+    for leaf in (w, b, head):
+        assert grads[leaf.uid].data.tobytes() == grads_all[leaf.uid].data.tobytes()

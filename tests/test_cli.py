@@ -6,9 +6,12 @@ import shutil
 
 import pytest
 
+from freezelab import experiment
 from freezelab.cli import DELTA_MAP_COLUMNS, GRID_SUMMARY_COLUMNS, main
 from freezelab.data import SceneConfig
 from freezelab.experiment import default_config, load_config, read_summary_csv, save_config
+from freezelab.flops import FlopsLedger, write_ledger_csv
+from freezelab.model import build_detector, flops_specs
 from freezelab.schedule import ScheduleSpec
 
 
@@ -76,6 +79,26 @@ def test_run_with_baseline_ledger_fills_delta(tmp_path):
     summary = read_summary_csv(frozen_out / "summary.csv")
     assert summary["delta_flops_vs_baseline"] is not None
     assert summary["delta_flops_vs_baseline"] < 0
+
+
+@pytest.mark.parametrize("epochs,n_train", [(3, 16), (4, 8)])
+def test_run_rejects_a_baseline_of_another_shape_before_training(tmp_path, capsys, monkeypatch, epochs, n_train):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _small_config_file(cfg_path, epochs=4)
+    specs = flops_specs(build_detector(cfg.arch, init_seed=cfg.seed))
+    baseline = FlopsLedger(specs)
+    for epoch in range(epochs):
+        baseline.record_epoch(epoch, 0, specs, n_train)
+    write_ledger_csv(baseline, tmp_path / "ledger.csv")
+    trained = []
+    monkeypatch.setattr(experiment, "train_epoch", lambda *args, **kwargs: trained.append(args))
+
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 "--baseline", str(tmp_path / "ledger.csv")]) == 1
+    assert trained == []
+    assert "ledgers describe different runs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_rebuilds_the_summary(tmp_path, capsys):

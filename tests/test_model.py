@@ -164,6 +164,26 @@ def test_unknown_layer_kind_rejected():
         Layer("tanh", 0)
 
 
+@pytest.mark.parametrize("kind,key,value", [
+    ("relu", "kernel", 3), ("flatten", "stride", 2), ("dense", "stride", 1), ("dense", "kernel", 3),
+    ("maxpool2d", "in_channels", 8), ("maxpool2d", "out_channels", 8), ("conv2d", "in_features", 4),
+    ("conv2d", "kernal", 3),
+])
+def test_layer_rejects_a_key_its_kind_does_not_take(kind, key, value):
+    spec = {"dense": {"in_features": 4, "out_features": 2},
+            "conv2d": {"in_channels": 1, "out_channels": 1, "kernel": 2},
+            "maxpool2d": {"kernel": 2}}.get(kind, {})
+    with pytest.raises(ValueError, match=f"{kind} layer 5 does not take '{key}'"):
+        Layer(kind, 5, **spec, **{key: value})
+
+
+def test_build_detector_names_the_layer_of_a_stray_key():
+    arch = default_desk_arch()
+    arch["backbone"][1] = {"kind": "relu", "kernel": 7}
+    with pytest.raises(ValueError, match="relu layer 1 does not take 'kernel'"):
+        build_detector(arch, init_seed=0)
+
+
 # --------------------------------------------------------------------------
 # forward under freeze
 
