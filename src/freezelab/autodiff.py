@@ -328,15 +328,11 @@ def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
         winner = np.where(better, i * kernel + j, winner)
 
     def bwd(g):
+        # Within one tap each window maps to its own input cell, so the
+        # strided += never collides; overlapping windows add across taps.
         gx = np.zeros_like(xd)
-        if stride >= kernel:  # windows do not overlap: each tap adds once
-            for i, j, rows, cols in _taps(kernel, kernel, ho, wo, stride):
-                gx[:, :, rows, cols] += np.where(winner == i * kernel + j, g, 0.0)
-            return (gx,)
-        bi, ci, oy, ox = np.indices(g.shape)
-        rows = oy * stride + winner // kernel
-        cols = ox * stride + winner % kernel
-        np.add.at(gx, (bi, ci, rows, cols), g)
+        for i, j, rows, cols in _taps(kernel, kernel, ho, wo, stride):
+            gx[:, :, rows, cols] += np.where(winner == i * kernel + j, g, 0.0)
         return (gx,)
 
     return record_external("maxpool2d", best, (x,), bwd)

@@ -25,7 +25,6 @@ from .evaluation import EvalReport, map50
 from .flops import (
     FlopsLedger,
     TimeModel,
-    check_same_run,
     delta_flops,
     estimate_training_time,
     read_csv_rows,
@@ -315,7 +314,7 @@ def run_experiment(cfg: ExperimentConfig, baseline_ledger: Optional[FlopsLedger]
         planned = FlopsLedger(specs)
         for epoch in range(cfg.total_epochs):
             planned.record_epoch(epoch, 0, specs, len(train_scenes))
-        check_same_run(planned, baseline_ledger)
+        delta_flops(planned, baseline_ledger)
     state = OptimState()
 
     records = []

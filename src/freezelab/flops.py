@@ -32,7 +32,6 @@ __all__ = [
     "TimeModel",
     "layer_forward_flops",
     "delta_flops",
-    "check_same_run",
     "estimate_training_time",
     "read_csv_rows",
     "write_ledger_csv",
@@ -157,17 +156,12 @@ def delta_flops(candidate: FlopsLedger, baseline: FlopsLedger) -> int:
     per-epoch sample counts, and per-epoch forward costs (freeze flags are
     exactly what is allowed to differ).
     """
-    check_same_run(candidate, baseline)
-    return candidate.total_flops() - baseline.total_flops()
-
-
-def check_same_run(candidate: FlopsLedger, baseline: FlopsLedger) -> None:
-    """Raise ValueError unless delta_flops may compare the two ledgers."""
     if candidate._comparison_key() != baseline._comparison_key():
         raise ValueError("ledgers describe different runs (model, epochs, or sample counts differ)")
     if candidate.model_signature is not None and baseline.model_signature is not None:
         if candidate.model_signature != baseline.model_signature:
             raise ValueError("ledgers describe different models")
+    return candidate.total_flops() - baseline.total_flops()
 
 
 @dataclass(frozen=True)

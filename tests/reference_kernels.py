@@ -3,8 +3,8 @@ for the engine's kernels.
 
 `conv2d_reference` is the per-tap `tensordot` loop the engine used before
 its per-tap GEMM form, forward and backward; `maxpool2d_reference` routes
-the output adjoint through `np.add.at`, the general path that overlapping
-pools still take. Both work on plain arrays and build no tape.
+the output adjoint through `np.add.at`, the scatter-add the engine used
+before it added per tap. Both work on plain arrays and build no tape.
 """
 
 import numpy as np

@@ -11,9 +11,20 @@ from freezelab.autodiff import Tape, Tensor
 from reference_kernels import conv2d_reference, maxpool2d_reference
 
 
+# Bit identity with the tensordot loop rests on BLAS adding the same terms
+# in the same order for both call layouts. It was recorded with numpy 2.4.6
+# on scipy-openblas 0.3.31 (x86-64, Haswell kernels); another BLAS build or
+# CPU kernel may round differently while both kernels stay correct, so a
+# failure names the BLAS in use.
+_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+_BLAS_NAME = f"{_BLAS.get('name')} {_BLAS.get('version')}"
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes(), (
+        f"bits differ under BLAS {_BLAS_NAME} (identity recorded with scipy-openblas 0.3.31); "
+        f"max abs difference {np.max(np.abs(got - want))}")
 
 
 def _engine_conv(x, w, b, stride, g):
@@ -66,7 +77,9 @@ def test_conv2d_matches_the_direct_loop_to_rounding_for_one_sample_or_one_filter
 @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 3), (2, 3), (1, 1), (1, 2), (3, 1), (3, 2), (2, 1)])
 @pytest.mark.parametrize("values", ["relu", "ties"])
 def test_maxpool2d_is_bit_identical_to_the_scatter_add(kernel, stride, values):
-    # stride >= kernel takes the per-tap path, stride < kernel keeps add.at
+    # stride < kernel overlaps windows: a cell that wins in three or more of
+    # them sums its adjoints in tap order, where add.at sums them in window
+    # order, so only those cells may differ, and only by rounding
     rng = np.random.default_rng(100 * kernel + stride)
     if values == "relu":  # the zeros relu leaves make whole windows tie
         x = np.maximum(rng.normal(size=(3, 4, 9, 11)), 0.0)
@@ -80,4 +93,7 @@ def test_maxpool2d_is_bit_identical_to_the_scatter_add(kernel, stride, values):
     (gx,) = tape.nodes[out.node_id].backward_fn(g)
     want_out, want_gx = maxpool2d_reference(x, kernel, stride, g)
     assert_same_bits(out.data, want_out)
-    assert_same_bits(gx, want_gx)
+    _, wins = maxpool2d_reference(x, kernel, stride, np.ones_like(g))
+    few = wins <= 2
+    assert_same_bits(gx[few], want_gx[few])
+    np.testing.assert_allclose(gx, want_gx, rtol=1e-15, atol=1e-15)
