@@ -138,7 +138,8 @@ def _cmd_grid(args) -> int:
     _write_atomically(os.path.join(out_root, "grid_summary.csv"), _write_csv, GRID_SUMMARY_COLUMNS, grid_rows)
 
     # Per-period change in mAP against the rho=1 baseline, aggregated over
-    # seeds: mean and population standard deviation.
+    # seeds: mean and sample standard deviation, which one seed does not
+    # have.
     delta_rows = []
     for rho in rhos:
         if rho == 1:
@@ -146,10 +147,13 @@ def _cmd_grid(args) -> int:
         values = per_rho_delta_map[rho]
         n = len(values)
         mean = sum(values) / n
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / n)
         label = format_rho(rho)
-        formatted = f"{mean:+.4f} +/- {std:.4f}"
-        delta_rows.append([label, n, _fmt_float(mean), _fmt_float(std), formatted])
+        if n == 1:
+            std, formatted = "NA", f"{mean:+.4f} (n=1)"
+        else:
+            spread = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+            std, formatted = _fmt_float(spread), f"{mean:+.4f} +/- {spread:.4f} (n={n})"
+        delta_rows.append([label, n, _fmt_float(mean), std, formatted])
         print(f"delta mAP@50 (rho={label} vs rho=1): {formatted}")
     _write_atomically(os.path.join(out_root, "delta_map.csv"), _write_csv, DELTA_MAP_COLUMNS, delta_rows)
 

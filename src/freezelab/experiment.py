@@ -5,7 +5,9 @@ per-epoch batch order all come from counter-based streams keyed by the
 config seed, so rerunning a config reproduces every output file byte for
 byte. The per-epoch freeze signal is the only thing a schedule changes;
 frozen epochs skip the backbone's backward cost in the ledger and leave
-its parameters untouched.
+its parameters untouched. While the backbone stays frozen its output for
+a scene is a constant, so a run computes it once per frozen stretch (see
+RunCache); the ledger still charges every frozen epoch its forward pass.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .flops import (
 )
 from .model import (
     Detector,
+    PredictionGrid,
     build_detector,
     decode_predictions,
     default_desk_arch,
@@ -63,6 +66,7 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "save_config",
+    "RunCache",
     "train_epoch",
     "evaluate_detector",
     "run_experiment",
@@ -231,6 +235,48 @@ class RunResult:
     config: ExperimentConfig
 
 
+class RunCache:
+    """What one run computes once and reuses, for one detector and its
+    train/val scenes.
+
+    `targets` holds every train scene's encoded target grid for the whole
+    run. `train` and `val` hold every train and val scene's detached
+    backbone output, or None while not filled; they are valid only while
+    the backbone has not moved since they were filled. train_epoch drops
+    them at the start of every unfrozen epoch, the one place the backbone
+    moves. A frozen epoch fills `train`, an evaluation given the cache
+    fills `val`, and later ones read the stored rows instead of running
+    the backbone. The rows are bit-identical to a recomputation in any
+    batch composition, so reuse changes no output byte.
+    """
+
+    def __init__(self, detector: Detector, train_scenes: Sequence[Scene]):
+        self.targets = encode_targets(
+            [s.ground_truths for s in train_scenes],
+            detector.grid_size,
+            detector.num_classes,
+            detector.input_shape[1],
+        )
+        self.train: Optional[np.ndarray] = None
+        self.val: Optional[np.ndarray] = None
+
+    def drop(self) -> None:
+        self.train = None
+        self.val = None
+
+
+def _forward_rows(detector, chunk, rows, freeze, stored, fill) -> PredictionGrid:
+    """detector_forward of the scenes `chunk`, which sit at `rows` of a
+    store: from their rows of `stored` when given, else from their images,
+    copying the backbone output into `fill` when given."""
+    if stored is not None:
+        return detector_forward(detector, None, freeze, features=Tensor(stored[rows]))
+    pred = detector_forward(detector, Tensor(np.stack([s.image.data for s in chunk])), freeze)
+    if fill is not None:
+        fill[rows] = pred.features.data
+    return pred
+
+
 def train_epoch(
     detector: Detector,
     scenes: Sequence[Scene],
@@ -243,6 +289,7 @@ def train_epoch(
     sgd_cfg: SgdConfig,
     seed: int,
     iteration_start: int,
+    cache: Optional[RunCache] = None,
 ) -> tuple[float, float, int]:
     """One pass over `scenes` in a per-epoch shuffled order.
 
@@ -250,29 +297,32 @@ def train_epoch(
     clip, SGD step at lr_at(iteration). Records the epoch in the ledger
     under the same freeze flag. Returns (mean of per-batch losses, last
     learning rate used, next global iteration index).
+
+    `cache` is the run's RunCache for these scenes; without one the epoch
+    builds its own and nothing carries over to the next epoch.
     """
     if not scenes:
         raise ValueError("cannot train on an empty scene list")
+    if cache is None:
+        cache = RunCache(detector, scenes)
+    elif len(cache.targets) != len(scenes):
+        raise ValueError(f"cache holds {len(cache.targets)} scenes, got {len(scenes)}")
+    if not freeze:
+        cache.drop()
+    stored = cache.train if freeze else None
+    fill = np.empty((len(scenes),) + detector.feature_shape) if freeze and stored is None else None
     order = generator(seed, STREAM_BATCH_SHUFFLE, epoch).permutation(len(scenes))
     params = dict(detector.parameters())
     key_of = detector.grad_key_table()
-    image_size = detector.input_shape[1]
 
     iteration = iteration_start
     losses = []
     lr = None
     for lo in range(0, len(order), sgd_cfg.batch_size):
-        chunk = [scenes[i] for i in order[lo : lo + sgd_cfg.batch_size]]
-        batch = Tensor(np.stack([s.image.data for s in chunk]))
-        targets = encode_targets(
-            [s.ground_truths for s in chunk],
-            detector.grid_size,
-            detector.num_classes,
-            image_size,
-        )
+        rows = order[lo : lo + sgd_cfg.batch_size]
         with Tape() as tape:
-            pred = detector_forward(detector, batch, freeze)
-            loss = detection_loss(pred, targets)
+            pred = _forward_rows(detector, [scenes[i] for i in rows], rows, freeze, stored, fill)
+            loss = detection_loss(pred, cache.targets[rows])
         grads_by_uid = backward(loss, tape)
         grads = {key_of[uid]: g for uid, g in grads_by_uid.items()}
         grads = clip_gradients(grads, sgd_cfg.clip_max_norm)
@@ -281,23 +331,33 @@ def train_epoch(
         losses.append(loss.item())
         iteration += 1
 
+    if fill is not None:
+        cache.train = fill
     ledger.record_epoch(epoch, freeze, flops_specs(detector), len(scenes))
     return float(np.mean(losses)), lr, iteration
 
 
-def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: int) -> EvalReport:
+def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: int,
+                      cache: Optional[RunCache] = None) -> EvalReport:
     """mAP@50 of the detector over `scenes`. Runs outside any tape, so
-    nothing is recorded and no FLOPs are charged."""
+    nothing is recorded and no FLOPs are charged. With a cache for these
+    scenes, the backbone outputs come from `cache.val`, or are computed
+    and stored there when it is empty."""
+    stored = cache.val if cache is not None else None
+    fill = np.empty((len(scenes),) + detector.feature_shape) if cache is not None and stored is None else None
     detections = []
     ground_truths = []
     image_size = detector.input_shape[1]
     for lo in range(0, len(scenes), batch_size):
         chunk = scenes[lo : lo + batch_size]
-        batch = Tensor(np.stack([s.image.data for s in chunk]))
-        pred = detector_forward(detector, batch, freeze=0)
+        # Outside a tape freeze=1 computes the same values as freeze=0 and
+        # also hands back the backbone output.
+        pred = _forward_rows(detector, chunk, slice(lo, lo + batch_size), 1, stored, fill)
         detections.extend(decode_predictions(pred, [s.index for s in chunk], image_size))
         for s in chunk:
             ground_truths.extend(s.ground_truths)
+    if fill is not None:
+        cache.val = fill
     return map50(detections, ground_truths)
 
 
@@ -316,20 +376,27 @@ def run_experiment(cfg: ExperimentConfig, baseline_ledger: Optional[FlopsLedger]
             planned.record_epoch(epoch, 0, specs, len(train_scenes))
         delta_flops(planned, baseline_ledger)
     state = OptimState()
+    cache = RunCache(detector, train_scenes)
+    freezes = [phase_freeze_signal(epoch, cfg.schedule) for epoch in range(cfg.total_epochs)]
 
     records = []
     iteration = 0
     report = None
-    for epoch in range(cfg.total_epochs):
-        freeze = phase_freeze_signal(epoch, cfg.schedule)
+    for epoch, freeze in enumerate(freezes):
         mean_loss, lr, iteration = train_epoch(
             detector, train_scenes, epoch, freeze, state, ledger,
             lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, iteration_start=iteration,
+            cache=cache,
         )
         val_map = None
         is_last = epoch == cfg.total_epochs - 1
         if val_scenes and ((epoch + 1) % cfg.eval_every == 0 or is_last):
-            report = evaluate_detector(detector, val_scenes, cfg.sgd.batch_size)
+            # Store the val features only where a later evaluation can
+            # read them: they are stored already, or the next epoch keeps
+            # the backbone frozen.
+            keep = cache.val is not None or (not is_last and freezes[epoch + 1])
+            report = evaluate_detector(detector, val_scenes, cfg.sgd.batch_size,
+                                       cache=cache if keep else None)
             val_map = report.map50
         records.append(EpochRecord(
             epoch=epoch,

@@ -6,7 +6,9 @@ vector per cell of an S x S grid (objectness logit, C class logits, and
 4 box offsets). The freeze signal gates the backbone as a single unit:
 with freeze=1 the backbone runs without tape recording and its output is
 detached, so the forward values are bit-identical to the unfrozen pass
-while no gradient can reach any backbone parameter.
+while no gradient can reach any backbone parameter. That detached output
+comes back with the predictions, and a later frozen forward of the same
+scenes may pass it in instead of running the backbone again.
 """
 
 from __future__ import annotations
@@ -173,6 +175,11 @@ class Detector:
         """Map tensor uid -> param_id, for translating backward() output."""
         return {tensor.uid: pid for pid, tensor in self.parameters()}
 
+    @property
+    def feature_shape(self) -> tuple:
+        """Per-sample shape of the backbone's output."""
+        return (self.neck + self.head)[0].input_shape
+
 
 @dataclass(frozen=True)
 class PredictionGrid:
@@ -180,12 +187,14 @@ class PredictionGrid:
 
     Channel 0 is the objectness logit, channels 1..C are class logits,
     and the last four are box offsets (center dx, dy within the cell,
-    then log-width and log-height in cell units).
+    then log-width and log-height in cell units). `features` is the
+    detached backbone output of a freeze=1 forward, None otherwise.
     """
 
     tensor: Tensor
     grid_size: int
     num_classes: int
+    features: Optional[Tensor] = None
 
     def __post_init__(self):
         s, c = self.grid_size, self.num_classes
@@ -339,25 +348,36 @@ def _apply_layer(layer: Layer, x: Tensor) -> Tensor:
     raise AssertionError(f"unhandled layer kind {layer.kind}")
 
 
-def detector_forward(d: Detector, batch: Tensor, freeze: int) -> PredictionGrid:
+def detector_forward(d: Detector, batch: Optional[Tensor], freeze: int,
+                     features: Optional[Tensor] = None) -> PredictionGrid:
     """Full forward pass under a freeze signal.
 
     freeze=1 runs the backbone without tape recording and detaches its
     output, so downstream gradient flow stops at the backbone boundary;
     freeze=0 records normally. The returned values are identical either
-    way.
+    way. `features`, with freeze=1 only, is the `features` of an earlier
+    frozen forward of the same scenes with the backbone unchanged since:
+    the backbone is skipped and `batch` is not read.
     """
     if freeze not in (0, 1):
         raise ValueError(f"freeze signal must be 0 or 1, got {freeze!r}")
-    if batch.data.ndim != len(d.input_shape) + 1 or batch.shape[1:] != d.input_shape:
-        raise ValueError(f"batch shape {batch.shape} does not match input shape {d.input_shape}")
+    if features is None:
+        if batch.data.ndim != len(d.input_shape) + 1 or batch.shape[1:] != d.input_shape:
+            raise ValueError(f"batch shape {batch.shape} does not match input shape {d.input_shape}")
+    elif not freeze:
+        raise ValueError("precomputed backbone features need freeze=1")
+    elif features.data.ndim != len(d.feature_shape) + 1 or features.shape[1:] != d.feature_shape:
+        raise ValueError(f"features shape {features.shape} does not match the backbone "
+                         f"output shape {d.feature_shape}")
 
-    if freeze:
+    if features is not None:
+        out = features
+    elif freeze:
         with ad.pause_recording():
             out = batch
             for layer in d.backbone:
                 out = _apply_layer(layer, out)
-        out = ad.detach(out)
+        out = features = ad.detach(out)
     else:
         out = batch
         for layer in d.backbone:
@@ -369,8 +389,8 @@ def detector_forward(d: Detector, batch: Tensor, freeze: int) -> PredictionGrid:
         out = _apply_layer(layer, out)
 
     s, c = d.grid_size, d.num_classes
-    grid = ad.reshape(out, (batch.shape[0], s, s, 1 + c + 4))
-    return PredictionGrid(tensor=grid, grid_size=s, num_classes=c)
+    grid = ad.reshape(out, (out.shape[0], s, s, 1 + c + 4))
+    return PredictionGrid(tensor=grid, grid_size=s, num_classes=c, features=features)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -161,8 +161,8 @@ def test_grid_sweeps_and_aggregates(tmp_path, capsys):
     assert [r[0] for r in rows] == ["2", "inf"]
     for row in rows:
         assert row[1] == "1"
-        assert float(row[3]) == 0.0  # one seed: no spread
-        assert row[4].endswith("+/- 0.0000")
+        assert row[3] == "NA"  # one seed: no spread
+        assert row[4] == f"{float(row[2]):+.4f} (n=1)"
 
     stdout = capsys.readouterr().out
     assert "grid complete" in stdout
@@ -188,6 +188,9 @@ def test_grid_aggregates_multiple_seeds(tmp_path):
             deltas.append(float(row[6]))
     mean = sum(deltas) / 2
     assert float(rows[0][2]) == pytest.approx(mean, abs=1e-12)
+    sample_std = abs(deltas[0] - deltas[1]) / math.sqrt(2)  # n - 1 = 1
+    assert float(rows[0][3]) == pytest.approx(sample_std, abs=1e-12)
+    assert rows[0][4] == f"{mean:+.4f} +/- {sample_std:.4f} (n=2)"
 
 
 def test_grid_rejects_switch_outside_the_run(tmp_path, capsys):
