@@ -19,25 +19,19 @@ import sys
 from dataclasses import replace
 
 from .experiment import (
-    _write_atomically,
-    _write_csv,
     default_config,
     load_config,
-    read_summary_csv,
+    read_ledger_csv,
     rebuild_summary,
     run_experiment,
     save_config,
+    write_table,
 )
-from .flops import read_ledger_csv
 from .schedule import ScheduleSpec, format_rho, parse_rho
 
 GRID_SUMMARY_COLUMNS = ("seed", "rho", "final_map50", "total_flops",
                         "delta_flops_vs_rho1", "estimated_minutes", "delta_map50_vs_rho1")
 DELTA_MAP_COLUMNS = ("rho", "n_seeds", "delta_map50_mean", "delta_map50_std", "formatted")
-
-
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
 
 
 def _cmd_run(args) -> int:
@@ -47,8 +41,7 @@ def _cmd_run(args) -> int:
     if cfg.output_dir is None:
         raise SystemExit("error: config has no output_dir and --out was not given")
     baseline = read_ledger_csv(args.baseline) if args.baseline else None
-    result = run_experiment(cfg, baseline_ledger=baseline)
-    summary = read_summary_csv(os.path.join(cfg.output_dir, "summary.csv"))
+    summary = run_experiment(cfg, baseline_ledger=baseline).summary
     print(f"run complete: {cfg.output_dir}")
     print(f"  schedule           {summary['schedule']}")
     print(f"  final mAP@50       {summary['final_map50']:.4f}")
@@ -60,8 +53,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rebuild_summary(args.run, args.baseline)
-    summary = read_summary_csv(os.path.join(args.run, "summary.csv"))
+    summary = rebuild_summary(args.run, args.baseline)
     print(f"summary rebuilt: {os.path.join(args.run, 'summary.csv')}")
     print(f"  delta FLOPs vs baseline  {summary['delta_flops_vs_baseline']}")
     return 0
@@ -94,7 +86,7 @@ def _cmd_grid(args) -> int:
     rhos = _parse_rhos(args.rhos)
     if 1 not in rhos:
         rhos.insert(0, 1)  # the full-training baseline anchors every delta
-    rhos.sort(key=lambda r: math.inf if r == math.inf else r)
+    rhos.sort()
     seeds = _parse_seeds(args.seeds)
     switch = args.switch
     if not (0 < switch < base.total_epochs):
@@ -120,22 +112,17 @@ def _cmd_grid(args) -> int:
             result = run_experiment(cfg, baseline_ledger=baseline_ledger)
             if rho == 1:
                 baseline_result = result
-            summary = read_summary_csv(os.path.join(run_dir, "summary.csv"))
+            summary = result.summary
             delta_map = None
             if rho != 1:
                 delta_map = result.report.map50 - baseline_result.report.map50
                 per_rho_delta_map[rho].append(delta_map)
-            rows.append((seed, label, summary["final_map50"], summary["total_flops"],
-                         summary["delta_flops_vs_baseline"], summary["estimated_minutes"], delta_map))
+            rows.append([seed, label, summary["final_map50"], summary["total_flops"],
+                         summary["delta_flops_vs_baseline"], summary["estimated_minutes"], delta_map])
             print(f"rho={label} seed={seed}: mAP@50={summary['final_map50']:.4f} "
                   f"FLOPs={summary['total_flops']}")
 
-    grid_rows = [
-        [seed, label, _fmt_float(fmap), flops_, "NA" if dflops is None else dflops,
-         _fmt_float(minutes), "NA" if dmap is None else _fmt_float(dmap)]
-        for seed, label, fmap, flops_, dflops, minutes, dmap in rows
-    ]
-    _write_atomically(os.path.join(out_root, "grid_summary.csv"), _write_csv, GRID_SUMMARY_COLUMNS, grid_rows)
+    write_table(os.path.join(out_root, "grid_summary.csv"), GRID_SUMMARY_COLUMNS, rows)
 
     # Per-period change in mAP against the rho=1 baseline, aggregated over
     # seeds: mean and sample standard deviation, which one seed does not
@@ -149,13 +136,13 @@ def _cmd_grid(args) -> int:
         mean = sum(values) / n
         label = format_rho(rho)
         if n == 1:
-            std, formatted = "NA", f"{mean:+.4f} (n=1)"
+            std, formatted = None, f"{mean:+.4f} (n=1)"
         else:
-            spread = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-            std, formatted = _fmt_float(spread), f"{mean:+.4f} +/- {spread:.4f} (n={n})"
-        delta_rows.append([label, n, _fmt_float(mean), std, formatted])
+            std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+            formatted = f"{mean:+.4f} +/- {std:.4f} (n={n})"
+        delta_rows.append([label, n, mean, std, formatted])
         print(f"delta mAP@50 (rho={label} vs rho=1): {formatted}")
-    _write_atomically(os.path.join(out_root, "delta_map.csv"), _write_csv, DELTA_MAP_COLUMNS, delta_rows)
+    write_table(os.path.join(out_root, "delta_map.csv"), DELTA_MAP_COLUMNS, delta_rows)
 
     print(f"grid complete: {out_root}")
     return 0

@@ -8,6 +8,10 @@ frozen epochs skip the backbone's backward cost in the ledger and leave
 its parameters untouched. While the backbone stays frozen its output for
 a scene is a constant, so a run computes it once per frozen stretch (see
 RunCache); the ledger still charges every frozen epoch its forward pass.
+
+This module also reads and writes every table file of a run or grid
+directory (curves, ledger, summary, grid summary, delta map) in one CSV
+format; the checkpoint's binary layout lives in model.
 """
 
 from __future__ import annotations
@@ -16,23 +20,15 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, astuple, dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward
 from .data import Scene, SceneConfig, generate_dataset
 from .evaluation import EvalReport, map50
-from .flops import (
-    FlopsLedger,
-    TimeModel,
-    delta_flops,
-    estimate_training_time,
-    read_csv_rows,
-    read_ledger_csv,
-    write_ledger_csv,
-)
+from .flops import EpochFlopsRecord, FlopsLedger, TimeModel, delta_flops, estimate_training_time
 from .model import (
     Detector,
     PredictionGrid,
@@ -70,9 +66,19 @@ __all__ = [
     "train_epoch",
     "evaluate_detector",
     "run_experiment",
-    "emit_report",
+    "summarize_run",
+    "write_table",
+    "read_csv_rows",
+    "write_curves_csv",
     "read_curves_csv",
+    "write_ledger_csv",
+    "read_ledger_csv",
+    "write_summary_csv",
+    "read_summary_csv",
+    "write_run_dir",
+    "rebuild_summary",
     "CURVES_COLUMNS",
+    "LEDGER_COLUMNS",
     "SUMMARY_COLUMNS",
 ]
 
@@ -161,12 +167,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _build_section(cls, raw: dict, section: str):
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(raw) - allowed
+def _build_section(cls, raw, section: str, **defaults):
+    if not isinstance(raw, dict):
+        raise ValueError(f"config section {section!r} must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    return cls(**raw)
+    return cls(**{**defaults, **raw})
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -175,35 +182,31 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version!r} (this build reads version {CONFIG_VERSION})")
 
-    known = {"seed", "total_epochs", "eval_every", "n_train", "n_val", "arch",
-             "scene", "lr", "sgd", "schedule", "time_model", "output_dir"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    kwargs = {}
-    for key in ("seed", "total_epochs", "eval_every", "n_train", "n_val", "arch", "output_dir"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    seed = kwargs.get("seed", 0)
-    scene_raw = dict(raw.get("scene", {}))
-    scene_raw.setdefault("seed", seed)
-    kwargs["scene"] = _build_section(SceneConfig, scene_raw, "scene")
-    if "lr" in raw:
-        kwargs["lr"] = _build_section(LrConfig, raw["lr"], "lr")
-    if "sgd" in raw:
-        kwargs["sgd"] = _build_section(SgdConfig, raw["sgd"], "sgd")
+    kwargs = dict(raw)
+    kwargs["scene"] = _build_section(SceneConfig, raw.get("scene", {}), "scene", seed=raw.get("seed", 0))
+    for section, cls in (("lr", LrConfig), ("sgd", SgdConfig), ("time_model", TimeModel)):
+        if section in raw:
+            kwargs[section] = _build_section(cls, raw[section], section)
     if "schedule" in raw:
         kwargs["schedule"] = _schedule_from_json(raw["schedule"])
-    if "time_model" in raw:
-        kwargs["time_model"] = _build_section(TimeModel, raw["time_model"], "time_model")
     return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return config_from_dict(raw)
+    """The config in a JSON file. A file that is not a JSON object or not
+    a valid config raises one ValueError that names it."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        return config_from_dict(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -233,6 +236,7 @@ class RunResult:
     ledger: FlopsLedger
     detector: Detector
     config: ExperimentConfig
+    summary: dict  # the summary.csv row, as read_summary_csv returns it
 
 
 class RunCache:
@@ -362,10 +366,9 @@ def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: i
 
 
 def run_experiment(cfg: ExperimentConfig, baseline_ledger: Optional[FlopsLedger] = None) -> RunResult:
-    """Train one detector under one schedule and (optionally) write the
-    run directory: config.json, curves.csv, ledger.csv, summary.csv,
-    checkpoint.bin. A baseline ledger, when given, fills the summary's
-    delta column."""
+    """Train one detector under one schedule and, when the config names an
+    output_dir, write the run directory (see write_run_dir). A baseline
+    ledger, when given, fills the summary's delta column."""
     train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
     specs = flops_specs(detector)
@@ -410,23 +413,40 @@ def run_experiment(cfg: ExperimentConfig, baseline_ledger: Optional[FlopsLedger]
         # n_val = 0: no evaluation ever ran
         report = EvalReport(map50=0.0, per_class_ap={}, n_detections=0, n_ground_truth=0)
 
-    result = RunResult(records=records, report=report, ledger=ledger,
-                       detector=detector, config=cfg)
+    result = RunResult(records=records, report=report, ledger=ledger, detector=detector, config=cfg,
+                       summary=summarize_run(cfg, report.map50, ledger, baseline_ledger))
     if cfg.output_dir is not None:
-        write_run_dir(result, baseline_ledger=baseline_ledger)
+        write_run_dir(result)
     return result
 
 
+def summarize_run(cfg: ExperimentConfig, final_map50: float, ledger: FlopsLedger,
+                  baseline_ledger: Optional[FlopsLedger] = None) -> dict:
+    """The one summary.csv row, keyed by SUMMARY_COLUMNS. The delta is
+    None (NA on disk) without a baseline ledger."""
+    return {
+        "schedule": cfg.schedule.describe(),
+        "total_epochs": cfg.total_epochs,
+        "final_map50": final_map50,
+        "total_flops": ledger.total_flops(),
+        "delta_flops_vs_baseline": None if baseline_ledger is None else delta_flops(ledger, baseline_ledger),
+        "estimated_minutes": estimate_training_time(cfg.time_model, cfg.schedule, cfg.total_epochs),
+    }
+
+
 # --------------------------------------------------------------------------
-# reports
+# run and grid directories: every table file is a CSV with a header row,
+# "\n" line ends, floats as repr (which round-trips exactly) and None as
+# NA, written to a temp file and renamed into place.
 
 CURVES_COLUMNS = ("epoch", "frozen", "mean_loss", "lr", "cum_flops", "val_map50")
+LEDGER_COLUMNS = ("epoch", "frozen", "n_samples", "fwd_backbone", "bwd_backbone", "fwd_rest", "bwd_rest", "cum_total")
 SUMMARY_COLUMNS = ("schedule", "total_epochs", "final_map50", "total_flops",
                    "delta_flops_vs_baseline", "estimated_minutes")
 MISSING = "NA"
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
     if x is None:
         return MISSING
     if isinstance(x, float):
@@ -434,9 +454,47 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_rows(columns, rows, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def write_table(path, columns: Sequence[str], rows) -> None:
+    """Write one table file atomically: the `columns` header, then each
+    row's cells in column order."""
+    _write_atomically(path, _write_rows, columns, rows)
+
+
+def read_csv_rows(path, columns: Sequence[str], convert: Callable[[list], object]) -> list:
+    """`convert(row)` for every data row of a CSV file headed by `columns`.
+
+    An empty file, a foreign header, a row of the wrong width, or a row
+    that `convert` rejects with a ValueError all raise one ValueError that
+    names the file (and the line, for row faults).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty; expected the header {','.join(columns)}")
+        if tuple(header) != tuple(columns):
+            raise ValueError(f"unexpected header in {path}: {header}")
+        out = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(columns):
+                raise ValueError(f"{where}: expected {len(columns)} fields, got {len(row)}")
+            try:
+                out.append(convert(row))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return out
+
+
 def write_curves_csv(records: Sequence[EpochRecord], path) -> None:
-    _write_csv(CURVES_COLUMNS, ([r.epoch, r.frozen, _fmt(r.mean_loss), _fmt(r.lr), r.cum_flops, _fmt(r.val_map50)]
-                                for r in records), path)
+    write_table(path, CURVES_COLUMNS, (astuple(r) for r in records))
 
 
 def _curves_row(row) -> EpochRecord:
@@ -454,45 +512,47 @@ def read_curves_csv(path) -> list[EpochRecord]:
     return read_csv_rows(path, CURVES_COLUMNS, _curves_row)
 
 
-def emit_report(
-    records: Sequence[EpochRecord],
-    ledger: FlopsLedger,
-    report: EvalReport,
-    cfg: ExperimentConfig,
-    out_dir,
-    baseline_ledger: Optional[FlopsLedger] = None,
-) -> None:
-    """Write curves.csv, ledger.csv, summary.csv into out_dir, each one
-    atomically.
+def write_ledger_csv(ledger: FlopsLedger, path) -> None:
+    write_table(path, LEDGER_COLUMNS, (
+        [r.epoch, r.frozen, r.n_samples, r.forward["backbone"], r.backward["backbone"],
+         r.forward["neck"] + r.forward["head"], r.backward["neck"] + r.backward["head"], running]
+        for r, running in zip(ledger.records, ledger.cumulative_totals())
+    ))
 
-    Emission is deterministic: the same inputs produce byte-identical
-    files. Without a baseline ledger the delta column holds an explicit
-    NA marker.
+
+def read_ledger_csv(path) -> FlopsLedger:
+    """Rebuild a ledger from its CSV export.
+
+    The neck/head split is not recoverable from the file (they are exported
+    as a combined "rest" column), so the loaded records carry the combined
+    value under "head". Totals and run-shape comparisons are unaffected.
+    Every row must carry a 0/1 freeze flag, a new epoch, and the running
+    total of the rows so far in `cum_total`.
     """
-    delta = None
-    if baseline_ledger is not None:
-        delta = delta_flops(ledger, baseline_ledger)
-    minutes = estimate_training_time(cfg.time_model, cfg.schedule, cfg.total_epochs)
-    row = [
-        cfg.schedule.describe(),
-        cfg.total_epochs,
-        _fmt(report.map50),
-        ledger.total_flops(),
-        MISSING if delta is None else delta,
-        _fmt(minutes),
-    ]
+    ledger = FlopsLedger()
+    running = 0
 
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomically(os.path.join(out_dir, "curves.csv"), write_curves_csv, records)
-    _write_atomically(os.path.join(out_dir, "ledger.csv"), write_ledger_csv, ledger)
-    _write_atomically(os.path.join(out_dir, "summary.csv"), _write_csv, SUMMARY_COLUMNS, [row])
+    def add_row(row):
+        nonlocal running
+        epoch, frozen, n, fwd_backbone, bwd_backbone, fwd_rest, bwd_rest, cum_total = map(int, row)
+        if frozen not in (0, 1):
+            raise ValueError(f"frozen must be 0 or 1, got {frozen}")
+        if any(r.epoch == epoch for r in ledger.records):
+            raise ValueError(f"duplicate epoch {epoch}")
+        fwd = {"backbone": fwd_backbone, "neck": 0, "head": fwd_rest}
+        bwd = {"backbone": bwd_backbone, "neck": 0, "head": bwd_rest}
+        record = EpochFlopsRecord(epoch, frozen, n, fwd, bwd)
+        running += record.total()
+        if cum_total != running:
+            raise ValueError(f"cum_total {cum_total} differs from the running row sum {running}")
+        ledger.records.append(record)
+
+    read_csv_rows(path, LEDGER_COLUMNS, add_row)
+    return ledger
 
 
-def _write_csv(header, rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_summary_csv(summary: dict, path) -> None:
+    write_table(path, SUMMARY_COLUMNS, [[summary[c] for c in SUMMARY_COLUMNS]])
 
 
 def _summary_row(row) -> dict:
@@ -526,11 +586,12 @@ def _write_atomically(path, write, *args) -> None:
             os.remove(tmp)
 
 
-def write_run_dir(result: RunResult, baseline_ledger: Optional[FlopsLedger] = None) -> None:
-    """Write the run directory file by file, each one atomically.
+def write_run_dir(result: RunResult) -> None:
+    """Write the run directory, each file atomically: config.json,
+    curves.csv, ledger.csv, summary.csv and checkpoint.bin.
 
     checkpoint.bin goes last (and a stale one is removed first), so its
-    presence marks a completed run.
+    presence marks a completed run. The same result gives the same bytes.
     """
     cfg = result.config
     out_dir = cfg.output_dir
@@ -541,15 +602,17 @@ def write_run_dir(result: RunResult, baseline_ledger: Optional[FlopsLedger] = No
     if os.path.exists(checkpoint):
         os.remove(checkpoint)
     _write_atomically(os.path.join(out_dir, "config.json"), save_config, cfg)
-    emit_report(result.records, result.ledger, result.report, cfg, out_dir,
-                baseline_ledger=baseline_ledger)
+    write_curves_csv(result.records, os.path.join(out_dir, "curves.csv"))
+    write_ledger_csv(result.ledger, os.path.join(out_dir, "ledger.csv"))
+    write_summary_csv(result.summary, os.path.join(out_dir, "summary.csv"))
     _write_atomically(checkpoint, save_checkpoint, result.detector)
 
 
-def rebuild_summary(run_dir, baseline_dir) -> None:
-    """Recompute run_dir/summary.csv with deltas against baseline_dir's
-    ledger; both directories must hold completed runs, i.e. carry the
-    checkpoint.bin that write_run_dir writes last."""
+def rebuild_summary(run_dir, baseline_dir) -> dict:
+    """Rewrite run_dir/summary.csv with deltas against baseline_dir's
+    ledger, and return the new summary. No other file is written. Both
+    directories must hold completed runs, i.e. carry the checkpoint.bin
+    that write_run_dir writes last."""
     for d in (run_dir, baseline_dir):
         if not os.path.exists(os.path.join(d, "checkpoint.bin")):
             raise ValueError(f"{d} is not a completed run directory: it has no checkpoint.bin")
@@ -558,5 +621,6 @@ def rebuild_summary(run_dir, baseline_dir) -> None:
     ledger = read_ledger_csv(os.path.join(run_dir, "ledger.csv"))
     baseline = read_ledger_csv(os.path.join(baseline_dir, "ledger.csv"))
     final_map = next((r.val_map50 for r in reversed(records) if r.val_map50 is not None), 0.0)
-    report = EvalReport(map50=final_map, per_class_ap={}, n_detections=0, n_ground_truth=0)
-    emit_report(records, ledger, report, cfg, run_dir, baseline_ledger=baseline)
+    summary = summarize_run(cfg, final_map, ledger, baseline)
+    write_summary_csv(summary, os.path.join(run_dir, "summary.csv"))
+    return summary

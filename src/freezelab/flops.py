@@ -17,10 +17,9 @@ pass still runs every epoch, while its backward cost is zero.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .schedule import ScheduleSpec, phase_freeze_signal, BACKBONE_UNFROZEN
 
@@ -33,9 +32,6 @@ __all__ = [
     "layer_forward_flops",
     "delta_flops",
     "estimate_training_time",
-    "read_csv_rows",
-    "write_ledger_csv",
-    "read_ledger_csv",
 ]
 
 GROUPS = ("backbone", "neck", "head")
@@ -100,14 +96,13 @@ class FlopsLedger:
 
     def __init__(self, model: Optional[Iterable[LayerFlopsSpec]] = None):
         self.records: list[EpochFlopsRecord] = []
-        self._epochs: set[int] = set()
         self.model_signature = None if model is None else _signature(model)
 
     def record_epoch(self, epoch: int, freeze: int, model: Sequence[LayerFlopsSpec], n_samples: int) -> None:
         """Charge one epoch: every group pays forward cost for N samples;
         neck and head always pay backward; the backbone pays backward only
         when the epoch is unfrozen."""
-        if epoch in self._epochs:
+        if any(r.epoch == epoch for r in self.records):
             raise ValueError(f"epoch {epoch} already recorded")
         if freeze not in (0, 1):
             raise ValueError(f"freeze signal must be 0 or 1, got {freeze!r}")
@@ -127,7 +122,6 @@ class FlopsLedger:
             if spec.group != "backbone" or freeze == BACKBONE_UNFROZEN:
                 bwd[spec.group] += BACKWARD_FORWARD_RATIO * per_epoch
         self.records.append(EpochFlopsRecord(epoch, freeze, n_samples, fwd, bwd))
-        self._epochs.add(epoch)
 
     def total_flops(self) -> int:
         return sum(r.total() for r in self.records)
@@ -190,74 +184,3 @@ def estimate_training_time(tm: TimeModel, spec: ScheduleSpec, total_epochs: int)
         else:
             minutes += tm.minutes_frozen
     return minutes
-
-
-LEDGER_COLUMNS = ("epoch", "frozen", "n_samples", "fwd_backbone", "bwd_backbone", "fwd_rest", "bwd_rest", "cum_total")
-
-
-def write_ledger_csv(ledger: FlopsLedger, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LEDGER_COLUMNS)
-        for r, running in zip(ledger.records, ledger.cumulative_totals()):
-            writer.writerow([r.epoch, r.frozen, r.n_samples, r.forward["backbone"], r.backward["backbone"],
-                             r.forward["neck"] + r.forward["head"], r.backward["neck"] + r.backward["head"],
-                             running])
-
-
-def read_ledger_csv(path) -> FlopsLedger:
-    """Rebuild a ledger from its CSV export.
-
-    The neck/head split is not recoverable from the file (they are exported
-    as a combined "rest" column), so the loaded records carry the combined
-    value under "head". Totals and run-shape comparisons are unaffected.
-    Every row must carry a 0/1 freeze flag, a new epoch, and the running
-    total of the rows so far in `cum_total`.
-    """
-    ledger = FlopsLedger()
-    running = 0
-
-    def add_row(row):
-        nonlocal running
-        epoch, frozen, n, fwd_backbone, bwd_backbone, fwd_rest, bwd_rest, cum_total = map(int, row)
-        if frozen not in (0, 1):
-            raise ValueError(f"frozen must be 0 or 1, got {frozen}")
-        if epoch in ledger._epochs:
-            raise ValueError(f"duplicate epoch {epoch}")
-        fwd = {"backbone": fwd_backbone, "neck": 0, "head": fwd_rest}
-        bwd = {"backbone": bwd_backbone, "neck": 0, "head": bwd_rest}
-        record = EpochFlopsRecord(epoch, frozen, n, fwd, bwd)
-        running += record.total()
-        if cum_total != running:
-            raise ValueError(f"cum_total {cum_total} differs from the running row sum {running}")
-        ledger.records.append(record)
-        ledger._epochs.add(epoch)
-
-    read_csv_rows(path, LEDGER_COLUMNS, add_row)
-    return ledger
-
-
-def read_csv_rows(path, columns: Sequence[str], convert: Callable[[list], object]) -> list:
-    """`convert(row)` for every data row of a CSV file headed by `columns`.
-
-    An empty file, a foreign header, a row of the wrong width, or a row
-    that `convert` rejects with a ValueError all raise one ValueError that
-    names the file (and the line, for row faults).
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path} is empty; expected the header {','.join(columns)}")
-        if tuple(header) != tuple(columns):
-            raise ValueError(f"unexpected header in {path}: {header}")
-        out = []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(columns):
-                raise ValueError(f"{where}: expected {len(columns)} fields, got {len(row)}")
-            try:
-                out.append(convert(row))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    return out

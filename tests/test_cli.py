@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import shutil
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from freezelab import experiment
 from freezelab.cli import DELTA_MAP_COLUMNS, GRID_SUMMARY_COLUMNS, main
 from freezelab.data import SceneConfig
-from freezelab.experiment import default_config, load_config, read_summary_csv, save_config
-from freezelab.flops import FlopsLedger, write_ledger_csv
+from freezelab.experiment import default_config, load_config, read_summary_csv, save_config, write_ledger_csv
+from freezelab.flops import FlopsLedger
 from freezelab.model import build_detector, flops_specs
 from freezelab.schedule import ScheduleSpec
 
@@ -215,3 +216,64 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "expected a JSON object, got list"),
+    ('{"seed": 0,', "Expecting property name"),
+    ('{"scene": 5}', "config section 'scene' must be an object, got int"),
+    ('{"bogus": 1}', "unknown config keys: ['bogus']"),
+], ids=["list", "truncated", "scene-int", "unknown-key"])
+def test_run_rejects_a_bad_config_with_one_error_naming_the_file(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{cfg_path}: ")) as exc:
+        load_config(cfg_path)
+    assert message in str(exc.value)
+
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {exc.value}\n"
+    assert not out.exists()
+
+
+def test_report_rewrites_only_the_summary(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path, epochs=2)
+    run_cfg = tmp_path / "run.json"
+    _small_config_file(run_cfg, epochs=2, schedule=ScheduleSpec([(1, 1), (math.inf, math.inf)]))
+    base_out, run_out = tmp_path / "base", tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(base_out)]) == 0
+    assert main(["run", "--config", str(run_cfg), "--out", str(run_out)]) == 0
+
+    def stamps():
+        return {(d.name, name): ((d / name).stat().st_ino, (d / name).stat().st_mtime_ns)
+                for d in (run_out, base_out)
+                for name in ("config.json", "curves.csv", "ledger.csv", "checkpoint.bin")}
+
+    before = stamps()
+    assert main(["report", "--run", str(run_out), "--baseline", str(base_out)]) == 0
+    assert stamps() == before
+    assert sorted(p.name for p in run_out.iterdir()) == [
+        "checkpoint.bin", "config.json", "curves.csv", "ledger.csv", "summary.csv"]
+    assert read_summary_csv(run_out / "summary.csv")["delta_flops_vs_baseline"] < 0
+
+
+def test_grid_summary_rows_equal_the_run_summaries(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path)
+    out = tmp_path / "grid"
+    assert main([
+        "grid", "--config", str(cfg_path), "--rhos", "2,inf",
+        "--out", str(out), "--switch", "1", "--seeds", "0,1",
+    ]) == 0
+    _, rows = _read_rows(out / "grid_summary.csv")
+    assert len(rows) == 6
+    for row in rows:
+        seed, label, fmap, flops_, dflops, minutes, _ = row
+        summary = read_summary_csv(out / f"seed_{seed}" / f"rho_{label}" / "summary.csv")
+        assert float(fmap) == summary["final_map50"]
+        assert int(flops_) == summary["total_flops"]
+        assert (None if dflops == "NA" else int(dflops)) == summary["delta_flops_vs_baseline"]
+        assert float(minutes) == summary["estimated_minutes"]

@@ -22,18 +22,20 @@ from freezelab.experiment import (
     config_from_dict,
     config_to_dict,
     default_config,
-    emit_report,
     load_config,
     read_curves_csv,
     read_summary_csv,
+    read_ledger_csv,
     rebuild_summary,
     run_experiment,
     save_config,
+    summarize_run,
     train_epoch,
     write_curves_csv,
     write_run_dir,
+    write_summary_csv,
 )
-from freezelab.flops import FlopsLedger, delta_flops, estimate_training_time, read_ledger_csv
+from freezelab.flops import FlopsLedger, delta_flops, estimate_training_time
 from freezelab.model import (
     build_detector,
     decode_predictions,
@@ -375,12 +377,12 @@ def test_summary_reader_needs_exactly_one_row(tmp_path):
         read_summary_csv(path)
 
 
-def test_emit_report_is_byte_identical(tmp_path):
+def test_write_run_dir_is_byte_identical(tmp_path):
     cfg = _small_config([(2, 1), (math.inf, 2)], epochs=4)
     run = run_experiment(cfg)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    emit_report(run.records, run.ledger, run.report, cfg, dir_a)
-    emit_report(run.records, run.ledger, run.report, cfg, dir_b)
+    write_run_dir(replace(run, config=replace(cfg, output_dir=str(dir_a))))
+    write_run_dir(replace(run, config=replace(cfg, output_dir=str(dir_b))))
     for name in ("curves.csv", "ledger.csv", "summary.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
@@ -388,7 +390,7 @@ def test_emit_report_is_byte_identical(tmp_path):
 def test_summary_without_baseline_has_na_marker(tmp_path):
     cfg = _small_config([(math.inf, 2)], epochs=2, n_val=0)
     run = run_experiment(cfg)
-    emit_report(run.records, run.ledger, run.report, cfg, tmp_path)
+    write_summary_csv(run.summary, tmp_path / "summary.csv")
     summary = read_summary_csv(tmp_path / "summary.csv")
     assert summary["delta_flops_vs_baseline"] is None
     assert "NA" in (tmp_path / "summary.csv").read_text()
@@ -404,7 +406,7 @@ def test_summary_with_baseline_has_exact_delta(tmp_path):
     base_cfg = _small_config([(math.inf, 1)], epochs=4, n_val=0)
     run = run_experiment(cfg)
     base = run_experiment(base_cfg)
-    emit_report(run.records, run.ledger, run.report, cfg, tmp_path, baseline_ledger=base.ledger)
+    write_summary_csv(summarize_run(cfg, run.report.map50, run.ledger, base.ledger), tmp_path / "summary.csv")
     summary = read_summary_csv(tmp_path / "summary.csv")
     assert summary["delta_flops_vs_baseline"] == delta_flops(run.ledger, base.ledger)
     assert summary["delta_flops_vs_baseline"] < 0
@@ -428,6 +430,15 @@ def test_run_dir_holds_all_artifacts(tmp_path):
     fresh = build_detector(cfg.arch, init_seed=99)
     restore_checkpoint(fresh, out / "checkpoint.bin")
     assert _all_params_bytes(fresh) == _all_params_bytes(run.detector)
+
+
+@pytest.mark.parametrize("with_baseline", [False, True], ids=["no-baseline", "baseline"])
+def test_in_memory_summary_equals_the_written_one(tmp_path, with_baseline):
+    base = run_experiment(_small_config([(math.inf, 1)], epochs=4)) if with_baseline else None
+    cfg = replace(_small_config([(1, 1), (math.inf, 2)], epochs=4), output_dir=str(tmp_path))
+    run = run_experiment(cfg, baseline_ledger=base.ledger if with_baseline else None)
+    assert run.summary == read_summary_csv(tmp_path / "summary.csv")
+    assert (run.summary["delta_flops_vs_baseline"] is not None) == with_baseline
 
 
 def test_write_run_dir_requires_output_dir():
@@ -472,12 +483,22 @@ def test_interrupted_write_keeps_whole_files_and_marks_the_run_incomplete(tmp_pa
     assert sorted(os.listdir(out)) == names
     before = {name: (out / name).read_bytes() for name in names}
 
-    def crash(obj, path):
+    # The low-level writer that the file goes through, and its temp file:
+    # every table file goes through _write_rows, so the crash hits the
+    # ledger's table only.
+    inner, victim = {"write_ledger_csv": ("_write_rows", "ledger.csv.tmp"),
+                     "save_checkpoint": ("save_checkpoint", "checkpoint.bin.tmp")}[writer]
+    write = getattr(experiment, inner)
+
+    def crash(*args):
+        path = args[-1]
+        if os.path.basename(path) != victim:
+            return write(*args)
         with open(path, "wb") as fh:
             fh.write(b"FZCK")
         raise OSError("disk full")
 
-    monkeypatch.setattr(experiment, writer, crash)
+    monkeypatch.setattr(experiment, inner, crash)
     with pytest.raises(OSError):
         write_run_dir(run)
     assert sorted(os.listdir(out)) == names[1:]

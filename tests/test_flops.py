@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from freezelab.experiment import read_ledger_csv, write_ledger_csv
 from freezelab.flops import (
     FlopsLedger,
     LayerFlopsSpec,
@@ -14,8 +15,6 @@ from freezelab.flops import (
     delta_flops,
     estimate_training_time,
     layer_forward_flops,
-    read_ledger_csv,
-    write_ledger_csv,
 )
 from freezelab.model import Layer
 from freezelab.schedule import ScheduleSpec, phase_freeze_signal, step_freeze_signal

@@ -24,6 +24,7 @@ from freezelab.experiment import (
     RunResult,
     default_config,
     run_experiment,
+    summarize_run,
     train_epoch,
     write_run_dir,
 )
@@ -113,7 +114,8 @@ def _uncached_run(cfg) -> RunResult:
         records.append(EpochRecord(epoch=epoch, frozen=freeze, mean_loss=float(np.mean(losses)),
                                    lr=lr, cum_flops=ledger.cumulative_totals()[-1],
                                    val_map50=val_map))
-    return RunResult(records=records, report=report, ledger=ledger, detector=detector, config=cfg)
+    return RunResult(records=records, report=report, ledger=ledger, detector=detector, config=cfg,
+                     summary=summarize_run(cfg, report.map50, ledger))
 
 
 def _files(run_dir) -> dict:

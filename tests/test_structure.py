@@ -1,0 +1,53 @@
+"""Package structure rules, checked on the source: no module imports a
+sibling's private (underscore) name, only `experiment` reads or writes
+CSV, and `flops` does no file I/O."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "freezelab"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(), filename=f"{module}.py")
+
+
+def _imports(tree):
+    """(module, name) for every import; name is None for `import x`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            for alias in node.names:
+                yield base, alias.name
+
+
+def test_the_package_has_modules():
+    assert {"cli", "experiment", "flops", "model"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_a_private_name_of_a_sibling(module):
+    private = [(src, name) for src, name in _imports(_tree(module))
+               if name is not None and name.startswith("_")
+               and (src.startswith(".") or src.startswith("freezelab"))]
+    assert private == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_experiment_imports_csv(module):
+    uses_csv = any(src == "csv" for src, _ in _imports(_tree(module)))
+    assert uses_csv == (module == "experiment")
+
+
+def test_flops_does_no_file_io():
+    tree = _tree("flops")
+    calls = {node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "open" not in calls
+    assert not {src for src, _ in _imports(tree)} & {"csv", "io", "json", "os", "pathlib", "shutil"}
