@@ -21,9 +21,11 @@ from dataclasses import replace
 from .experiment import (
     default_config,
     load_config,
+    plan_ledger,
     read_ledger_csv,
     rebuild_summary,
     run_experiment,
+    run_experiments,
     save_config,
     write_table,
 )
@@ -97,25 +99,31 @@ def _cmd_grid(args) -> int:
     rows = []
     per_rho_delta_map: dict = {rho: [] for rho in rhos if rho != 1}
     for seed in seeds:
-        baseline_result = None
-        for rho in rhos:
-            label = format_rho(rho)
-            run_dir = os.path.join(out_root, f"seed_{seed}", f"rho_{label}")
-            cfg = replace(
+        # One walk per seed trains each shared freeze prefix once. rhos[0]
+        # is the rho=1 baseline; its planned ledger fills every other
+        # run's delta before any run finishes.
+        cfgs = [
+            replace(
                 base,
                 seed=seed,
                 scene=replace(base.scene, seed=seed),
                 schedule=ScheduleSpec([(switch, 1), (math.inf, rho)]),
-                output_dir=run_dir,
+                output_dir=os.path.join(out_root, f"seed_{seed}", f"rho_{format_rho(rho)}"),
             )
-            baseline_ledger = baseline_result.ledger if baseline_result is not None else None
-            result = run_experiment(cfg, baseline_ledger=baseline_ledger)
-            if rho == 1:
-                baseline_result = result
-            summary = result.summary
+            for rho in rhos
+        ]
+        baseline_ledger = plan_ledger(cfgs[0])
+        finished = {}  # output_dir -> summary; no finished run keeps its detector here
+        for result in run_experiments([(cfg, None if rho == 1 else baseline_ledger)
+                                       for rho, cfg in zip(rhos, cfgs)]):
+            finished[result.config.output_dir] = result.summary
+        baseline_map = finished[cfgs[0].output_dir]["final_map50"]
+        for rho, cfg in zip(rhos, cfgs):
+            label = format_rho(rho)
+            summary = finished[cfg.output_dir]
             delta_map = None
             if rho != 1:
-                delta_map = result.report.map50 - baseline_result.report.map50
+                delta_map = summary["final_map50"] - baseline_map
                 per_rho_delta_map[rho].append(delta_map)
             rows.append([seed, label, summary["final_map50"], summary["total_flops"],
                          summary["delta_flops_vs_baseline"], summary["estimated_minutes"], delta_map])

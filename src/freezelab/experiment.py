@@ -16,12 +16,15 @@ format; the checkpoint's binary layout lives in model.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field
-from typing import Callable, Optional, Sequence
+import tempfile
+from dataclasses import asdict, astuple, dataclass, field, replace
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .model import (
     detector_forward,
     encode_targets,
     flops_specs,
+    load_checkpoint,
     save_checkpoint,
 )
 from .optim import OptimState, SgdConfig, clip_gradients, sgd_step
@@ -63,8 +67,11 @@ __all__ = [
     "load_config",
     "save_config",
     "RunCache",
+    "TrainState",
     "train_epoch",
     "evaluate_detector",
+    "plan_ledger",
+    "run_experiments",
     "run_experiment",
     "summarize_run",
     "write_table",
@@ -167,12 +174,25 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (dict, "an object")}
+
+
+def _check_kinds(raw: dict, defaults, prefix: str = "") -> None:
+    """Every int, float or dict field in `raw` must have the kind of its
+    value in `defaults` (an int passes for a float; a bool is not a number)."""
+    for key, value in raw.items():
+        kind = _KINDS.get(type(getattr(defaults, key)))
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind[0])):
+            raise ValueError(f"config key {prefix + key!r} must be {kind[1]}, got {type(value).__name__}")
+
+
 def _build_section(cls, raw, section: str, **defaults):
     if not isinstance(raw, dict):
         raise ValueError(f"config section {section!r} must be an object, got {type(raw).__name__}")
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+    _check_kinds(raw, cls(), prefix=f"{section}.")
     return cls(**{**defaults, **raw})
 
 
@@ -186,6 +206,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
+    _check_kinds(raw, ExperimentConfig())
     kwargs = dict(raw)
     kwargs["scene"] = _build_section(SceneConfig, raw.get("scene", {}), "scene", seed=raw.get("seed", 0))
     for section, cls in (("lr", LrConfig), ("sgd", SgdConfig), ("time_model", TimeModel)):
@@ -365,58 +386,182 @@ def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: i
     return map50(detections, ground_truths)
 
 
+def _freeze_signals(cfg: ExperimentConfig) -> tuple:
+    return tuple(phase_freeze_signal(epoch, cfg.schedule) for epoch in range(cfg.total_epochs))
+
+
+def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
+    """The ledger a run of `cfg` records, built without training: every
+    epoch charged for n_train samples under the schedule's freeze signal."""
+    specs = flops_specs(build_detector(cfg.arch, init_seed=cfg.seed))
+    ledger = FlopsLedger(specs)
+    for epoch, freeze in enumerate(_freeze_signals(cfg)):
+        ledger.record_epoch(epoch, freeze, specs, cfg.n_train)
+    return ledger
+
+
+_VELOCITY = ".velocity"  # name suffix of a velocity entry in a parked state's file
+
+
+class _Parked(NamedTuple):
+    path: str
+    ledger: FlopsLedger
+    records: list
+    iteration: int
+    report: Optional[EvalReport]
+
+
+@dataclass
+class TrainState:
+    """Everything a run carries from one epoch to the next: the detector,
+    its SGD state, the ledger and epoch records so far, the next global
+    iteration, the RunCache, and the last evaluation (None before the
+    first).
+
+    The learning rate and the batch order depend only on the iteration,
+    the epoch and the seed, so two runs of one config whose freeze signals
+    agree up to an epoch have equal states there (run_experiments trains
+    such a prefix once).
+    """
+
+    detector: Detector
+    optim: OptimState
+    ledger: FlopsLedger
+    records: list
+    iteration: int
+    cache: RunCache
+    report: Optional[EvalReport] = None
+
+    def park(self, path) -> _Parked:
+        """Set this state aside to resume later: the parameters and the
+        velocity go to `path` in the checkpoint entry layout, and the rest
+        is copied. The feature stores are not kept."""
+        velocity = []
+        for pid, v in self.optim.velocity.items():
+            layer_id, name = pid.split(".", 1)
+            velocity.append((int(layer_id), name + _VELOCITY, v))
+        save_checkpoint(self.detector, path, extra=velocity)
+        return _Parked(path, copy.deepcopy(self.ledger), list(self.records), self.iteration, self.report)
+
+    def resume(self, parked: _Parked) -> None:
+        """Return to a parked state in place, and delete its file."""
+        params = dict(self.detector.parameters())
+        velocity = {}
+        for layer_id, name, values in load_checkpoint(parked.path):
+            if name.endswith(_VELOCITY):
+                velocity[f"{layer_id}.{name[:-len(_VELOCITY)]}"] = values
+            else:
+                params[f"{layer_id}.{name}"].data[...] = values
+        os.remove(parked.path)
+        self.optim = OptimState(velocity)
+        self.ledger, self.records = parked.ledger, parked.records
+        self.iteration, self.report = parked.iteration, parked.report
+
+
+def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]]]) -> Iterator[RunResult]:
+    """Train runs that differ only in schedule and output_dir, each shared
+    prefix of their freeze signals once, and yield each run's RunResult.
+
+    `runs` holds (config, baseline ledger or None) pairs; a baseline fills
+    that run's summary delta and must describe a run of the same shape,
+    which is checked before training. The walk goes depth first through
+    the trie of the runs' freeze-signal sequences. Where they part, the
+    runs whose next epoch is frozen go on from the live state and keep its
+    feature stores; the others, whose next epoch drops the stores anyway,
+    are parked in a temporary directory until that branch is done. Runs
+    with one sequence share a leaf, which writes their run directories,
+    drops the stores, then yields their results: results come in the
+    order the walk finishes them. Every run directory holds the bytes an
+    independent run writes.
+
+    The results share one Detector, which the walk moves on to the next
+    branch: read a result's detector before asking for the next result.
+    """
+    runs = list(runs)
+    if not runs:
+        raise ValueError("no runs to train")
+    cfg = runs[0][0]
+    for other, _ in runs[1:]:
+        if replace(other, schedule=cfg.schedule, output_dir=cfg.output_dir) != cfg:
+            raise ValueError("runs trained together may differ only in schedule and output_dir")
+    baselines = [baseline for _, baseline in runs if baseline is not None]
+    if baselines:  # the runs' shape is known: reject a mismatch before training
+        planned = plan_ledger(cfg)
+        for baseline in baselines:
+            delta_flops(planned, baseline)
+    signals = [_freeze_signals(c) for c, _ in runs]
+
+    train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
+    detector = build_detector(cfg.arch, init_seed=cfg.seed)
+    state = TrainState(detector, OptimState(), FlopsLedger(flops_specs(detector)), [], 0,
+                       RunCache(detector, train_scenes))
+    with contextlib.ExitStack() as cleanup:
+        fork_dir = None  # made at the first fork, removed when the walk ends or raises
+        branches = [(None, list(range(len(runs))))]  # (parked state, indices of its runs)
+        while branches:
+            parked, group = branches.pop()
+            if parked is not None:
+                state.resume(parked)
+            for epoch in range(len(state.records), cfg.total_epochs):
+                unfrozen = [i for i in group if not signals[i][epoch]]
+                if 0 < len(unfrozen) < len(group):
+                    if fork_dir is None:
+                        fork_dir = cleanup.enter_context(tempfile.TemporaryDirectory(prefix="freezelab-fork-"))
+                    branches.append((state.park(os.path.join(fork_dir, f"{len(branches)}.bin")), unfrozen))
+                    group = [i for i in group if signals[i][epoch]]
+                freeze = signals[group[0]][epoch]
+                # Called through the module, in this positional order, so
+                # that a wrapper of experiment.train_epoch sees every epoch.
+                mean_loss, lr, state.iteration = train_epoch(
+                    detector, train_scenes, epoch, freeze, state.optim, state.ledger,
+                    lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, iteration_start=state.iteration,
+                    cache=state.cache,
+                )
+                val_map = None
+                is_last = epoch == cfg.total_epochs - 1
+                if val_scenes and ((epoch + 1) % cfg.eval_every == 0 or is_last):
+                    # Store the val features only where a later evaluation
+                    # can read them: they are stored already, or the next
+                    # epoch keeps the backbone frozen.
+                    keep = state.cache.val is not None or (
+                        not is_last and any(signals[i][epoch + 1] for i in group))
+                    state.report = evaluate_detector(detector, val_scenes, cfg.sgd.batch_size,
+                                                     cache=state.cache if keep else None)
+                    val_map = state.report.map50
+                state.records.append(EpochRecord(
+                    epoch=epoch,
+                    frozen=freeze,
+                    mean_loss=mean_loss,
+                    lr=lr,
+                    cum_flops=state.ledger.cumulative_totals()[-1],
+                    val_map50=val_map,
+                ))
+            yield from _finish_leaf(state, [runs[i] for i in group])
+
+
+def _finish_leaf(state: TrainState, runs) -> list:
+    """The results of `runs`, which share the finished `state`, with
+    their run directories written; then the feature stores go."""
+    report = state.report
+    if report is None:  # n_val = 0: no evaluation ever ran
+        report = EvalReport(map50=0.0, per_class_ap={}, n_detections=0, n_ground_truth=0)
+    results = []
+    for cfg, baseline in runs:
+        result = RunResult(records=state.records, report=report, ledger=state.ledger,
+                           detector=state.detector, config=cfg,
+                           summary=summarize_run(cfg, report.map50, state.ledger, baseline))
+        if cfg.output_dir is not None:
+            write_run_dir(result)
+        results.append(result)
+    state.cache.drop()
+    return results
+
+
 def run_experiment(cfg: ExperimentConfig, baseline_ledger: Optional[FlopsLedger] = None) -> RunResult:
     """Train one detector under one schedule and, when the config names an
     output_dir, write the run directory (see write_run_dir). A baseline
     ledger, when given, fills the summary's delta column."""
-    train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
-    detector = build_detector(cfg.arch, init_seed=cfg.seed)
-    specs = flops_specs(detector)
-    ledger = FlopsLedger(specs)
-    if baseline_ledger is not None:  # the run's shape is known: reject a mismatch before training
-        planned = FlopsLedger(specs)
-        for epoch in range(cfg.total_epochs):
-            planned.record_epoch(epoch, 0, specs, len(train_scenes))
-        delta_flops(planned, baseline_ledger)
-    state = OptimState()
-    cache = RunCache(detector, train_scenes)
-    freezes = [phase_freeze_signal(epoch, cfg.schedule) for epoch in range(cfg.total_epochs)]
-
-    records = []
-    iteration = 0
-    report = None
-    for epoch, freeze in enumerate(freezes):
-        mean_loss, lr, iteration = train_epoch(
-            detector, train_scenes, epoch, freeze, state, ledger,
-            lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, iteration_start=iteration,
-            cache=cache,
-        )
-        val_map = None
-        is_last = epoch == cfg.total_epochs - 1
-        if val_scenes and ((epoch + 1) % cfg.eval_every == 0 or is_last):
-            # Store the val features only where a later evaluation can
-            # read them: they are stored already, or the next epoch keeps
-            # the backbone frozen.
-            keep = cache.val is not None or (not is_last and freezes[epoch + 1])
-            report = evaluate_detector(detector, val_scenes, cfg.sgd.batch_size,
-                                       cache=cache if keep else None)
-            val_map = report.map50
-        records.append(EpochRecord(
-            epoch=epoch,
-            frozen=freeze,
-            mean_loss=mean_loss,
-            lr=lr,
-            cum_flops=ledger.cumulative_totals()[-1],
-            val_map50=val_map,
-        ))
-    if report is None:
-        # n_val = 0: no evaluation ever ran
-        report = EvalReport(map50=0.0, per_class_ap={}, n_detections=0, n_ground_truth=0)
-
-    result = RunResult(records=records, report=report, ledger=ledger, detector=detector, config=cfg,
-                       summary=summarize_run(cfg, report.map50, ledger, baseline_ledger))
-    if cfg.output_dir is not None:
-        write_run_dir(result)
+    [result] = run_experiments([(cfg, baseline_ledger)])
     return result
 
 

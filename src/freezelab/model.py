@@ -577,11 +577,15 @@ _CKPT_MAGIC = b"FZCK"
 _CKPT_VERSION = 1
 
 
-def save_checkpoint(d: Detector, path) -> None:
+def save_checkpoint(d: Detector, path, extra=()) -> None:
+    """Write the detector's parameters, then the (layer_id, name, array)
+    entries of `extra` in the same layout (a parked training state adds
+    its SGD velocity this way)."""
     entries = []
     for pid, tensor in d.parameters():
         layer_id, name = pid.split(".", 1)
         entries.append((int(layer_id), name, tensor.data))
+    entries.extend(extra)
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<HI", _CKPT_VERSION, len(entries)))

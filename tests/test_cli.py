@@ -223,7 +223,13 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     ('{"seed": 0,', "Expecting property name"),
     ('{"scene": 5}', "config section 'scene' must be an object, got int"),
     ('{"bogus": 1}', "unknown config keys: ['bogus']"),
-], ids=["list", "truncated", "scene-int", "unknown-key"])
+    ('{"seed": "x"}', "config key 'seed' must be an integer, got str"),
+    ('{"total_epochs": 2.5}', "config key 'total_epochs' must be an integer, got float"),
+    ('{"arch": 5}', "config key 'arch' must be an object, got int"),
+    ('{"n_train": true, "total_epochs": 1, "n_val": 0}', "config key 'n_train' must be an integer, got bool"),
+    ('{"lr": {"base_lr": "0.1"}}', "config key 'lr.base_lr' must be a number, got str"),
+], ids=["list", "truncated", "scene-int", "unknown-key", "seed-str", "epochs-float", "arch-int",
+        "n-train-bool", "lr-str"])
 def test_run_rejects_a_bad_config_with_one_error_naming_the_file(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -23,6 +23,7 @@ from freezelab.experiment import (
     config_to_dict,
     default_config,
     load_config,
+    plan_ledger,
     read_curves_csv,
     read_summary_csv,
     read_ledger_csv,
@@ -273,6 +274,27 @@ def test_recorded_lr_is_the_last_batch_rate():
 
 # --------------------------------------------------------------------------
 # config serialization
+
+
+@pytest.mark.parametrize("phases", [
+    [(math.inf, 1)],
+    [(2, 1), (math.inf, math.inf)],
+    [(1, 1), (math.inf, 2)],
+    [(3, 1), (math.inf, 5)],
+], ids=["full", "switch2-inf", "switch1-rho2", "switch3-rho5"])
+def test_planned_ledger_equals_the_trained_one(phases):
+    cfg = _small_config(phases, n_val=0)
+    planned = plan_ledger(cfg)
+    run = run_experiment(cfg)
+    assert planned.records == run.ledger.records
+    assert planned.model_signature == run.ledger.model_signature
+
+
+def test_config_accepts_an_integer_for_a_float_field(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"lr": {"base_lr": 1}, "time_model": {"minutes_frozen": 10}}')
+    cfg = load_config(path)
+    assert cfg.lr.base_lr == 1 and cfg.time_model.minutes_frozen == 10
 
 
 def test_config_dict_round_trip():
