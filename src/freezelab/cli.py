@@ -77,7 +77,7 @@ def _parse_seeds(text: str) -> list[int]:
     seeds = [int(p) for p in text.split(",") if p.strip()]
     if not seeds:
         raise ValueError(f"no seeds found in --seeds {text!r}")
-    return seeds
+    return list(dict.fromkeys(seeds))  # drop repeats, keep first-seen order
 
 
 def _cmd_grid(args) -> int:

@@ -34,7 +34,7 @@ from .evaluation import EvalReport, map50
 from .flops import EpochFlopsRecord, FlopsLedger, TimeModel, delta_flops, estimate_training_time
 from .model import (
     Detector,
-    PredictionGrid,
+    backbone_features,
     build_detector,
     decode_predictions,
     default_desk_arch,
@@ -150,9 +150,8 @@ def _schedule_from_json(raw) -> ScheduleSpec:
     for item in raw:
         if len(item) != 2:
             raise ValueError(f"schedule phase must be [end_epoch, rho], got {item!r}")
-        end_raw, rho_raw = item
-        end = math.inf if end_raw == "inf" else int(end_raw)
-        phases.append((end, parse_rho(rho_raw)))
+        end, rho = item
+        phases.append((end, parse_rho(rho)))
     return ScheduleSpec(phases)
 
 
@@ -174,12 +173,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (dict, "an object")}
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (dict, "an object"),
+          type(None): ((str, type(None)), "a string or null")}
 
 
 def _check_kinds(raw: dict, defaults, prefix: str = "") -> None:
-    """Every int, float or dict field in `raw` must have the kind of its
-    value in `defaults` (an int passes for a float; a bool is not a number)."""
+    """Every int, float, dict or None-default field in `raw` must have the
+    kind of its value in `defaults` (an int passes for a float; a bool is
+    not a number; a None default stands for an optional string)."""
     for key, value in raw.items():
         kind = _KINDS.get(type(getattr(defaults, key)))
         if kind is not None and (isinstance(value, bool) or not isinstance(value, kind[0])):
@@ -269,10 +270,11 @@ class RunCache:
     backbone output, or None while not filled; they are valid only while
     the backbone has not moved since they were filled. train_epoch drops
     them at the start of every unfrozen epoch, the one place the backbone
-    moves. A frozen epoch fills `train`, an evaluation given the cache
-    fills `val`, and later ones read the stored rows instead of running
-    the backbone. The rows are bit-identical to a recomputation in any
-    batch composition, so reuse changes no output byte.
+    moves. A frozen epoch that finds `train` empty fills it before its
+    first step, an evaluation that finds `val` empty fills it, and every
+    frozen step and evaluation reads its rows from there. The rows are
+    bit-identical to a recomputation in any batch composition, so the
+    stores change no output byte.
     """
 
     def __init__(self, detector: Detector, train_scenes: Sequence[Scene]):
@@ -290,16 +292,14 @@ class RunCache:
         self.val = None
 
 
-def _forward_rows(detector, chunk, rows, freeze, stored, fill) -> PredictionGrid:
-    """detector_forward of the scenes `chunk`, which sit at `rows` of a
-    store: from their rows of `stored` when given, else from their images,
-    copying the backbone output into `fill` when given."""
-    if stored is not None:
-        return detector_forward(detector, None, freeze, features=Tensor(stored[rows]))
-    pred = detector_forward(detector, Tensor(np.stack([s.image.data for s in chunk])), freeze)
-    if fill is not None:
-        fill[rows] = pred.features.data
-    return pred
+def _backbone_outputs(detector: Detector, scenes: Sequence[Scene], batch_size: int) -> np.ndarray:
+    """Every scene's backbone_features, in scene order, computed
+    `batch_size` scenes at a time so no layer output outgrows a batch."""
+    out = np.empty((len(scenes),) + detector.feature_shape)
+    for lo in range(0, len(scenes), batch_size):
+        images = np.stack([s.image.data for s in scenes[lo : lo + batch_size]])
+        out[lo : lo + len(images)] = backbone_features(detector, Tensor(images)).data
+    return out
 
 
 def train_epoch(
@@ -334,8 +334,8 @@ def train_epoch(
         raise ValueError(f"cache holds {len(cache.targets)} scenes, got {len(scenes)}")
     if not freeze:
         cache.drop()
-    stored = cache.train if freeze else None
-    fill = np.empty((len(scenes),) + detector.feature_shape) if freeze and stored is None else None
+    elif cache.train is None:
+        cache.train = _backbone_outputs(detector, scenes, sgd_cfg.batch_size)
     order = generator(seed, STREAM_BATCH_SHUFFLE, epoch).permutation(len(scenes))
     params = dict(detector.parameters())
     key_of = detector.grad_key_table()
@@ -346,7 +346,10 @@ def train_epoch(
     for lo in range(0, len(order), sgd_cfg.batch_size):
         rows = order[lo : lo + sgd_cfg.batch_size]
         with Tape() as tape:
-            pred = _forward_rows(detector, [scenes[i] for i in rows], rows, freeze, stored, fill)
+            if freeze:
+                pred = detector_forward(detector, None, 1, features=Tensor(cache.train[rows]))
+            else:
+                pred = detector_forward(detector, Tensor(np.stack([scenes[i].image.data for i in rows])), 0)
             loss = detection_loss(pred, cache.targets[rows])
         grads_by_uid = backward(loss, tape)
         grads = {key_of[uid]: g for uid, g in grads_by_uid.items()}
@@ -356,8 +359,6 @@ def train_epoch(
         losses.append(loss.item())
         iteration += 1
 
-    if fill is not None:
-        cache.train = fill
     ledger.record_epoch(epoch, freeze, flops_specs(detector), len(scenes))
     return float(np.mean(losses)), lr, iteration
 
@@ -365,24 +366,22 @@ def train_epoch(
 def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: int,
                       cache: Optional[RunCache] = None) -> EvalReport:
     """mAP@50 of the detector over `scenes`. Runs outside any tape, so
-    nothing is recorded and no FLOPs are charged. With a cache for these
-    scenes, the backbone outputs come from `cache.val`, or are computed
-    and stored there when it is empty."""
+    nothing is recorded and no FLOPs are charged. The backbone outputs
+    come from `cache.val` when it is filled; otherwise they are computed
+    up front, and stored there when a cache for these scenes is given."""
     stored = cache.val if cache is not None else None
-    fill = np.empty((len(scenes),) + detector.feature_shape) if cache is not None and stored is None else None
+    features = stored if stored is not None else _backbone_outputs(detector, scenes, batch_size)
+    if cache is not None:
+        cache.val = features
     detections = []
     ground_truths = []
     image_size = detector.input_shape[1]
     for lo in range(0, len(scenes), batch_size):
         chunk = scenes[lo : lo + batch_size]
-        # Outside a tape freeze=1 computes the same values as freeze=0 and
-        # also hands back the backbone output.
-        pred = _forward_rows(detector, chunk, slice(lo, lo + batch_size), 1, stored, fill)
+        pred = detector_forward(detector, None, 1, features=Tensor(features[lo : lo + batch_size]))
         detections.extend(decode_predictions(pred, [s.index for s in chunk], image_size))
         for s in chunk:
             ground_truths.extend(s.ground_truths)
-    if fill is not None:
-        cache.val = fill
     return map50(detections, ground_truths)
 
 
@@ -518,15 +517,9 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
                     cache=state.cache,
                 )
                 val_map = None
-                is_last = epoch == cfg.total_epochs - 1
-                if val_scenes and ((epoch + 1) % cfg.eval_every == 0 or is_last):
-                    # Store the val features only where a later evaluation
-                    # can read them: they are stored already, or the next
-                    # epoch keeps the backbone frozen.
-                    keep = state.cache.val is not None or (
-                        not is_last and any(signals[i][epoch + 1] for i in group))
+                if val_scenes and ((epoch + 1) % cfg.eval_every == 0 or epoch == cfg.total_epochs - 1):
                     state.report = evaluate_detector(detector, val_scenes, cfg.sgd.batch_size,
-                                                     cache=state.cache if keep else None)
+                                                     cache=state.cache)
                     val_map = state.report.map50
                 state.records.append(EpochRecord(
                     epoch=epoch,

@@ -7,8 +7,8 @@ vector per cell of an S x S grid (objectness logit, C class logits, and
 with freeze=1 the backbone runs without tape recording and its output is
 detached, so the forward values are bit-identical to the unfrozen pass
 while no gradient can reach any backbone parameter. That detached output
-comes back with the predictions, and a later frozen forward of the same
-scenes may pass it in instead of running the backbone again.
+is `backbone_features`; a frozen forward may be handed it instead of the
+images, and then runs only the neck and head.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "LAYER_KINDS",
     "default_desk_arch",
     "build_detector",
+    "backbone_features",
     "detector_forward",
     "detection_loss",
     "encode_targets",
@@ -187,14 +188,12 @@ class PredictionGrid:
 
     Channel 0 is the objectness logit, channels 1..C are class logits,
     and the last four are box offsets (center dx, dy within the cell,
-    then log-width and log-height in cell units). `features` is the
-    detached backbone output of a freeze=1 forward, None otherwise.
+    then log-width and log-height in cell units).
     """
 
     tensor: Tensor
     grid_size: int
     num_classes: int
-    features: Optional[Tensor] = None
 
     def __post_init__(self):
         s, c = self.grid_size, self.num_classes
@@ -348,16 +347,27 @@ def _apply_layer(layer: Layer, x: Tensor) -> Tensor:
     raise AssertionError(f"unhandled layer kind {layer.kind}")
 
 
+def backbone_features(d: Detector, batch: Tensor) -> Tensor:
+    """The backbone's output for `batch`, run without tape recording and
+    detached: what a frozen backbone hands the neck. Each scene's row is
+    bit-identical in any batch composition."""
+    with ad.pause_recording():
+        out = batch
+        for layer in d.backbone:
+            out = _apply_layer(layer, out)
+    return ad.detach(out)
+
+
 def detector_forward(d: Detector, batch: Optional[Tensor], freeze: int,
                      features: Optional[Tensor] = None) -> PredictionGrid:
     """Full forward pass under a freeze signal.
 
-    freeze=1 runs the backbone without tape recording and detaches its
-    output, so downstream gradient flow stops at the backbone boundary;
-    freeze=0 records normally. The returned values are identical either
-    way. `features`, with freeze=1 only, is the `features` of an earlier
-    frozen forward of the same scenes with the backbone unchanged since:
-    the backbone is skipped and `batch` is not read.
+    freeze=1 takes the backbone output from backbone_features, so
+    downstream gradient flow stops at the backbone boundary; freeze=0
+    records normally. The returned values are identical either way.
+    `features`, with freeze=1 only, is backbone_features of the same
+    scenes with the backbone unchanged since: the backbone is skipped and
+    `batch` is not read.
     """
     if freeze not in (0, 1):
         raise ValueError(f"freeze signal must be 0 or 1, got {freeze!r}")
@@ -373,11 +383,7 @@ def detector_forward(d: Detector, batch: Optional[Tensor], freeze: int,
     if features is not None:
         out = features
     elif freeze:
-        with ad.pause_recording():
-            out = batch
-            for layer in d.backbone:
-                out = _apply_layer(layer, out)
-        out = features = ad.detach(out)
+        out = backbone_features(d, batch)
     else:
         out = batch
         for layer in d.backbone:
@@ -390,7 +396,7 @@ def detector_forward(d: Detector, batch: Optional[Tensor], freeze: int,
 
     s, c = d.grid_size, d.num_classes
     grid = ad.reshape(out, (out.shape[0], s, s, 1 + c + 4))
-    return PredictionGrid(tensor=grid, grid_size=s, num_classes=c, features=features)
+    return PredictionGrid(tensor=grid, grid_size=s, num_classes=c)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

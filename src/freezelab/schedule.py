@@ -38,19 +38,24 @@ def _check_rho(rho: Rho) -> None:
         raise ValueError(f"rho must be a positive integer or inf, got {rho!r}")
 
 
+def _positive_or_inf(value, what: str) -> Rho:
+    """`value` as a positive int or math.inf. Text may spell either
+    ('inf', 'infinity' or digits); a fraction, a bool or anything else
+    raises rather than being truncated."""
+    if isinstance(value, str):
+        text = value.strip().lower()
+        if text in ("inf", "infinity"):
+            return math.inf
+        if text.isdigit():
+            value = int(text)
+    if value == math.inf or (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+        return value
+    raise ValueError(f"{what} must be a positive integer or inf, got {value!r}")
+
+
 def parse_rho(text) -> Rho:
     """Parse a rho value from config/CLI text; 'inf' and None mean infinity."""
-    if text is None:
-        return math.inf
-    if isinstance(text, str):
-        if text.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        text = int(text)
-    if isinstance(text, float) and text == math.inf:
-        return math.inf
-    rho = int(text)
-    _check_rho(rho)
-    return rho
+    return math.inf if text is None else _positive_or_inf(text, "rho")
 
 
 def format_rho(rho: Rho) -> str:
@@ -72,8 +77,8 @@ class ScheduleSpec:
         norm = []
         prev_end = 0
         for end, rho in phases:
+            end = _positive_or_inf(end, "phase end epoch")
             if end != math.inf:
-                end = int(end)
                 if end <= prev_end:
                     raise ValueError(f"phase end epochs must be strictly increasing, got {end} after {prev_end}")
                 prev_end = end

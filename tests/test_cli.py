@@ -194,6 +194,20 @@ def test_grid_aggregates_multiple_seeds(tmp_path):
     assert rows[0][4] == f"{mean:+.4f} +/- {sample_std:.4f} (n=2)"
 
 
+def test_grid_trains_a_repeated_seed_once(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path, epochs=2)
+    out = tmp_path / "grid"
+    assert main([
+        "grid", "--config", str(cfg_path), "--rhos", "2,inf",
+        "--out", str(out), "--switch", "1", "--seeds", "0,0",
+    ]) == 0
+    _, grid_rows = _read_rows(out / "grid_summary.csv")
+    assert [row[:2] for row in grid_rows] == [["0", "1"], ["0", "2"], ["0", "inf"]]
+    _, rows = _read_rows(out / "delta_map.csv")
+    assert [(row[0], row[1], row[3]) for row in rows] == [("2", "1", "NA"), ("inf", "1", "NA")]
+
+
 def test_grid_rejects_switch_outside_the_run(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _small_config_file(cfg_path, epochs=3)
@@ -228,8 +242,11 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     ('{"arch": 5}', "config key 'arch' must be an object, got int"),
     ('{"n_train": true, "total_epochs": 1, "n_val": 0}', "config key 'n_train' must be an integer, got bool"),
     ('{"lr": {"base_lr": "0.1"}}', "config key 'lr.base_lr' must be a number, got str"),
+    ('{"schedule": [[2, "1"], ["inf", 2.5]]}', "rho must be a positive integer or inf, got 2.5"),
+    ('{"schedule": [[2.5, "1"], ["inf", "2"]]}', "phase end epoch must be a positive integer or inf, got 2.5"),
+    ('{"output_dir": 5}', "config key 'output_dir' must be a string or null, got int"),
 ], ids=["list", "truncated", "scene-int", "unknown-key", "seed-str", "epochs-float", "arch-int",
-        "n-train-bool", "lr-str"])
+        "n-train-bool", "lr-str", "rho-float", "end-float", "output-dir-int"])
 def test_run_rejects_a_bad_config_with_one_error_naming_the_file(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

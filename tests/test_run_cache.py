@@ -30,6 +30,7 @@ from freezelab.experiment import (
 )
 from freezelab.flops import FlopsLedger
 from freezelab.model import (
+    backbone_features,
     build_detector,
     decode_predictions,
     detection_loss,
@@ -141,7 +142,9 @@ def test_cached_run_writes_the_bytes_of_the_uncached_loop(tmp_path, name):
 
 def _count_backbone_runs(monkeypatch, cfg):
     """Run cfg and return, per train_epoch and per evaluate_detector call,
-    the scene ids of every batch that ran through the backbone."""
+    the scene ids of every batch that ran through the backbone: image
+    batches given to detector_forward and to backbone_features alike.
+    Also checks that no frozen training step passes images."""
     train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
     scene_of = {s.image.data.tobytes(): ("train", i) for i, s in enumerate(train_scenes)}
     scene_of.update({s.image.data.tobytes(): ("val", i) for i, s in enumerate(val_scenes)})
@@ -153,17 +156,30 @@ def _count_backbone_runs(monkeypatch, cfg):
             return fn(*args, **kwargs)
         return wrapper
 
+    def images(batch):
+        calls[-1][1].append([scene_of[image.tobytes()] for image in batch.data])
+
     real_forward = experiment.detector_forward
+    real_features = experiment.backbone_features
+    frozen_steps = []
 
     def forward(d, batch, freeze, features=None):
         if features is None:
-            calls[-1][1].append([scene_of[image.tobytes()] for image in batch.data])
+            images(batch)
+        if freeze and calls[-1][0] == "train":
+            frozen_steps.append(batch)
         return real_forward(d, batch, freeze, features=features)
+
+    def backbone_features(d, batch):
+        images(batch)
+        return real_features(d, batch)
 
     monkeypatch.setattr(experiment, "train_epoch", counted("train", experiment.train_epoch))
     monkeypatch.setattr(experiment, "evaluate_detector", counted("eval", experiment.evaluate_detector))
     monkeypatch.setattr(experiment, "detector_forward", forward)
+    monkeypatch.setattr(experiment, "backbone_features", backbone_features)
     run_experiment(cfg)
+    assert frozen_steps and all(batch is None for batch in frozen_steps)
     return calls
 
 
@@ -173,8 +189,8 @@ def _scenes(batches):
 
 # Per schedule of 8 epochs: which train epochs and which evaluations (after
 # epochs 1, 3, 5 and 7) run their whole split through the backbone ("all")
-# or none of it ("-"). An evaluation keeps the val features only when the
-# next epoch is frozen; an unfrozen epoch drops what is stored.
+# or none of it ("-"). An evaluation stores the val features when none are
+# stored; an unfrozen epoch drops what is stored.
 BACKBONE_RUNS = {
     # epochs 0-3 train the backbone, epoch 4 fills the store and 5-7
     # reuse it; the evaluation after epoch 3 fills the val store
@@ -243,13 +259,13 @@ def test_forward_from_stored_features_is_bit_identical():
     images = np.stack([s.image.data for s in scenes])
 
     full = detector_forward(detector, Tensor(images), 1)
-    assert full.features.shape == (7,) + detector.feature_shape
-    assert detector_forward(detector, Tensor(images), 0).features is None
+    features = backbone_features(detector, Tensor(images))
+    assert features.shape == (7,) + detector.feature_shape
     # per-scene rows in another batch composition give the same predictions
     rows = np.array([5, 0, 3])
     alone = detector_forward(detector, Tensor(images[rows]), 1)
-    assert alone.features.data.tobytes() == full.features.data[rows].tobytes()
-    again = detector_forward(detector, None, 1, features=Tensor(full.features.data[rows]))
+    assert backbone_features(detector, Tensor(images[rows])).data.tobytes() == features.data[rows].tobytes()
+    again = detector_forward(detector, None, 1, features=Tensor(features.data[rows]))
     assert again.tensor.data.tobytes() == alone.tensor.data.tobytes()
     assert again.tensor.data.tobytes() == full.tensor.data[rows].tobytes()
 

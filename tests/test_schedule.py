@@ -130,6 +130,9 @@ def test_schedule_spec_validation():
         ScheduleSpec([(50, 0), (math.inf, 1)])  # rho zero
     with pytest.raises(ValueError):
         ScheduleSpec([(50, -2), (math.inf, 1)])  # rho negative
+    for end in (2.5, 2.0, True, "2.5"):  # rejected, not truncated
+        with pytest.raises(ValueError, match="phase end epoch must be a positive integer or inf"):
+            ScheduleSpec([(end, 1), (math.inf, 2)])
 
 
 def test_describe_is_compact():
@@ -150,8 +153,8 @@ def test_parse_and_format_rho():
     assert parse_rho(math.inf) == math.inf
     assert format_rho(5) == "5"
     assert format_rho(math.inf) == "inf"
-    for text in ("0", "-3", "abc"):
-        with pytest.raises(ValueError):
+    for text in ("0", "-3", "abc", 2.5, 2.0, True, "2.5"):
+        with pytest.raises(ValueError, match="rho must be a positive integer or inf"):
             parse_rho(text)
 
 

@@ -1,6 +1,7 @@
 """Package structure rules, checked on the source: no module imports a
 sibling's private (underscore) name, only `experiment` reads or writes
-CSV, and `flops` does no file I/O."""
+CSV, `flops` does no file I/O, and the backbone runs off the tape only in
+`model.backbone_features`."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,27 @@ def test_flops_does_no_file_io():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "open" not in calls
     assert not {src for src, _ in _imports(tree)} & {"csv", "io", "json", "os", "pathlib", "shutil"}
+
+
+def _calls_by_function(tree, name):
+    """The enclosing function of every call of `name` or `<x>.name`."""
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                out.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_backbone_features_pauses_the_tape():
+    callers = [(module, function) for module in MODULES
+               for function in _calls_by_function(_tree(module), "pause_recording")]
+    assert callers == [("model", "backbone_features")]
