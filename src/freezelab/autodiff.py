@@ -146,6 +146,12 @@ def pause_recording():
         _TAPE_STACK.pop()
 
 
+def _recorded(inputs: Sequence[Tensor]) -> bool:
+    """Whether an operation on `inputs` gets a tape node: a tape is active
+    and some input requires grad."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def record_external(kind: str, out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> Tensor:
     """Record one differentiable operation on the active tape.
 
@@ -154,7 +160,7 @@ def record_external(kind: str, out_data: np.ndarray, inputs: Sequence[Tensor], b
     analytically rather than composed from the built-in primitives.
     """
     tape = _active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = _recorded(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
         for t in inputs:
@@ -298,15 +304,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0); -0.0 and 0.0 both give 0.0, and a NaN passes through."""
+    mask = x.data > 0 if _recorded((x,)) else None
     def bwd(g):
         return (g * mask,)
-    return record_external("relu", np.where(mask, x.data, 0.0), (x,), bwd)
+    return record_external("relu", np.maximum(x.data, 0.0), (x,), bwd)
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over [B,C,H,W]; gradient goes to the first maximal
-    element (row-major scan) of each window, so ties break deterministically."""
+    element (row-major scan) of each window, so ties break deterministically.
+    A NaN in a window makes its max NaN."""
     if not isinstance(kernel, int) or kernel < 1:
         raise ValueError(f"maxpool2d: kernel must be a positive integer, got {kernel!r}")
     stride = kernel if stride is None else stride
@@ -314,25 +322,35 @@ def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
         raise ValueError(f"maxpool2d: stride must be a positive integer, got {stride!r}")
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"maxpool2d: expected 4-D input, got {x.shape}")
-    b_, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h < kernel or w < kernel:
         raise ShapeMismatchError(f"maxpool2d: input {x.shape} smaller than window {kernel}x{kernel}")
     ho, wo = conv_out_hw(h, w, kernel, kernel, stride)
-    xd = x.data
-    best = np.full((b_, c, ho, wo), -np.inf)
-    winner = np.zeros((b_, c, ho, wo), dtype=np.int64)
-    for i, j, rows, cols in _taps(kernel, kernel, ho, wo, stride):
-        vals = xd[:, :, rows, cols]
-        better = vals > best
-        best = np.where(better, vals, best)
-        winner = np.where(better, i * kernel + j, winner)
+    taps = [(rows, cols) for _, _, rows, cols in _taps(kernel, kernel, ho, wo, stride)]
+    windows = [x.data[:, :, rows, cols] for rows, cols in taps]
+    # On a tie np.maximum returns its second argument, so the running max
+    # keeps the bits of the first maximal tap, -0.0 against 0.0 included.
+    best = windows[0].copy()
+    for tap in windows[1:]:
+        np.maximum(tap, best, out=best)
+    # Only a recorded node runs backward, so only it builds the winners:
+    # one mask per tap, True where that tap is the window's first maximum.
+    wins = []
+    if _recorded((x,)):
+        free = np.ones(best.shape, dtype=bool)
+        for tap in windows:
+            win = tap == best
+            win &= free
+            free ^= win
+            wins.append(win)
+    shape = x.shape
 
     def bwd(g):
         # Within one tap each window maps to its own input cell, so the
         # strided += never collides; overlapping windows add across taps.
-        gx = np.zeros_like(xd)
-        for i, j, rows, cols in _taps(kernel, kernel, ho, wo, stride):
-            gx[:, :, rows, cols] += np.where(winner == i * kernel + j, g, 0.0)
+        gx = np.zeros(shape)
+        for (rows, cols), win in zip(taps, wins):
+            gx[:, :, rows, cols] += g * win
         return (gx,)
 
     return record_external("maxpool2d", best, (x,), bwd)

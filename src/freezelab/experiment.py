@@ -43,6 +43,7 @@ from .model import (
     encode_targets,
     flops_specs,
     load_checkpoint,
+    plan_detector,
     save_checkpoint,
 )
 from .optim import OptimState, SgdConfig, clip_gradients, sgd_step
@@ -198,6 +199,8 @@ def _build_section(cls, raw, section: str, **defaults):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config a JSON document describes. Its arch must chain (see
+    plan_detector) and take the scenes its scene section makes."""
     raw = dict(raw)
     version = raw.pop("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
@@ -215,7 +218,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             kwargs[section] = _build_section(cls, raw[section], section)
     if "schedule" in raw:
         kwargs["schedule"] = _schedule_from_json(raw["schedule"])
-    return ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**kwargs)
+    arch = plan_detector(cfg.arch)
+    scene = cfg.scene
+    images = (scene.channels, scene.image_size, scene.image_size)
+    if images != arch.input_shape:
+        raise ValueError(f"scene images of shape {list(images)} do not fit the arch's "
+                         f"input_shape {list(arch.input_shape)}")
+    if scene.num_classes > arch.num_classes:
+        raise ValueError(f"scene.num_classes {scene.num_classes} exceeds the arch's "
+                         f"num_classes {arch.num_classes}")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -392,7 +405,7 @@ def _freeze_signals(cfg: ExperimentConfig) -> tuple:
 def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
     """The ledger a run of `cfg` records, built without training: every
     epoch charged for n_train samples under the schedule's freeze signal."""
-    specs = flops_specs(build_detector(cfg.arch, init_seed=cfg.seed))
+    specs = flops_specs(plan_detector(cfg.arch))
     ledger = FlopsLedger(specs)
     for epoch, freeze in enumerate(_freeze_signals(cfg)):
         ledger.record_epoch(epoch, freeze, specs, cfg.n_train)

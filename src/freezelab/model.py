@@ -33,6 +33,7 @@ __all__ = [
     "ShapeChainError",
     "LAYER_KINDS",
     "default_desk_arch",
+    "plan_detector",
     "build_detector",
     "backbone_features",
     "detector_forward",
@@ -257,14 +258,14 @@ def _init_layer_params(layer: Layer, init_seed: int) -> None:
     layer.params["bias"] = Tensor(np.zeros(n_out), requires_grad=True)
 
 
-def build_detector(arch_config: dict, init_seed: int) -> Detector:
-    """Instantiate and initialize a detector from an architecture dict.
+def plan_detector(arch_config: dict) -> Detector:
+    """The detector an architecture dict describes, with no parameters
+    drawn: it checks the arch without building it.
 
     The dict carries input_shape, grid_size, num_classes, and one list of
     layer specs per group ('neck' may be absent or empty). Shapes are
-    chained through every layer up front; a mismatch raises
-    ShapeChainError naming both offending layers. Two calls with the same
-    config and seed produce parameter-wise bit-identical detectors.
+    chained through every layer; a mismatch raises ShapeChainError naming
+    both offending layers.
     """
     required = {"input_shape", "grid_size", "num_classes", "backbone", "head"}
     missing = required - set(arch_config)
@@ -296,7 +297,6 @@ def build_detector(arch_config: dict, init_seed: int) -> Detector:
     if not groups["backbone"] or not groups["head"]:
         raise ValueError("arch config needs at least one backbone layer and one head layer")
 
-    # Chain shapes through the whole stack before allocating anything.
     shape = input_shape
     prev: Optional[Layer] = None
     for layer in groups["backbone"] + groups["neck"] + groups["head"]:
@@ -319,9 +319,6 @@ def build_detector(arch_config: dict, init_seed: int) -> Detector:
             f"of {head_out}-channel predictions (needs {expect})"
         )
 
-    for layer in groups["backbone"] + groups["neck"] + groups["head"]:
-        _init_layer_params(layer, init_seed)
-
     return Detector(
         backbone=groups["backbone"],
         neck=groups["neck"],
@@ -331,6 +328,16 @@ def build_detector(arch_config: dict, init_seed: int) -> Detector:
         grid_size=grid_size,
         num_classes=num_classes,
     )
+
+
+def build_detector(arch_config: dict, init_seed: int) -> Detector:
+    """Instantiate and initialize a detector from an architecture dict (see
+    plan_detector). Two calls with the same config and seed produce
+    parameter-wise bit-identical detectors."""
+    d = plan_detector(arch_config)
+    for layer in d.layers():
+        _init_layer_params(layer, init_seed)
+    return d
 
 
 def _apply_layer(layer: Layer, x: Tensor) -> Tensor:
@@ -347,14 +354,28 @@ def _apply_layer(layer: Layer, x: Tensor) -> Tensor:
     raise AssertionError(f"unhandled layer kind {layer.kind}")
 
 
+def _run_layers(layers: Sequence[Layer], x: Tensor) -> Tensor:
+    """Apply one group's layers in order, except that each adjacent
+    relu, maxpool2d pair runs as pool then relu: the two commute, values
+    and gradients alike, and the relu then touches only the pooled map.
+    A caller runs each group on its own, so no pair spans a group cut."""
+    i = 0
+    while i < len(layers):
+        if layers[i].kind == "relu" and i + 1 < len(layers) and layers[i + 1].kind == "maxpool2d":
+            x = ad.relu(_apply_layer(layers[i + 1], x))
+            i += 2
+        else:
+            x = _apply_layer(layers[i], x)
+            i += 1
+    return x
+
+
 def backbone_features(d: Detector, batch: Tensor) -> Tensor:
     """The backbone's output for `batch`, run without tape recording and
     detached: what a frozen backbone hands the neck. Each scene's row is
     bit-identical in any batch composition."""
     with ad.pause_recording():
-        out = batch
-        for layer in d.backbone:
-            out = _apply_layer(layer, out)
+        out = _run_layers(d.backbone, batch)
     return ad.detach(out)
 
 
@@ -385,14 +406,8 @@ def detector_forward(d: Detector, batch: Optional[Tensor], freeze: int,
     elif freeze:
         out = backbone_features(d, batch)
     else:
-        out = batch
-        for layer in d.backbone:
-            out = _apply_layer(layer, out)
-
-    for layer in d.neck:
-        out = _apply_layer(layer, out)
-    for layer in d.head:
-        out = _apply_layer(layer, out)
+        out = _run_layers(d.backbone, batch)
+    out = _run_layers(d.head, _run_layers(d.neck, out))
 
     s, c = d.grid_size, d.num_classes
     grid = ad.reshape(out, (out.shape[0], s, s, 1 + c + 4))

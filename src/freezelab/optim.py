@@ -86,14 +86,16 @@ def sgd_step(
             continue
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {key!r} of shape {p.shape}")
-        step = g.data + cfg.weight_decay * p.data
+        # In place, per element in the order g + wd*p, m*v + step, p - lr*v.
+        step = np.multiply(p.data, cfg.weight_decay)
+        step += g.data
         if cfg.momentum != 0.0:
             v = state.velocity.get(key)
             if v is None:
-                v = np.zeros_like(p.data)
-            v = cfg.momentum * v + step
-            state.velocity[key] = v
-            step = v
+                v = state.velocity[key] = np.zeros_like(p.data)
+            v *= cfg.momentum
+            v += step
+            p.data -= np.multiply(v, lr, out=step)
         else:
             state.velocity[key] = step
-        p.data -= lr * step
+            p.data -= lr * step

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import csv
+import json
 import math
 import re
 import shutil
@@ -12,7 +13,7 @@ from freezelab.cli import DELTA_MAP_COLUMNS, GRID_SUMMARY_COLUMNS, main
 from freezelab.data import SceneConfig
 from freezelab.experiment import default_config, load_config, read_summary_csv, save_config, write_ledger_csv
 from freezelab.flops import FlopsLedger
-from freezelab.model import build_detector, flops_specs
+from freezelab.model import build_detector, default_desk_arch, flops_specs
 from freezelab.schedule import ScheduleSpec
 
 
@@ -245,8 +246,16 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     ('{"schedule": [[2, "1"], ["inf", 2.5]]}', "rho must be a positive integer or inf, got 2.5"),
     ('{"schedule": [[2.5, "1"], ["inf", "2"]]}', "phase end epoch must be a positive integer or inf, got 2.5"),
     ('{"output_dir": 5}', "config key 'output_dir' must be a string or null, got int"),
+    (json.dumps({"arch": {**default_desk_arch(), "input_shape": [3, 32]}}),
+     "input_shape must be [channels, H, W], got (3, 32)"),
+    (json.dumps({"arch": {**default_desk_arch(), "grid_size": 3}}),
+     "head output shape (128,) cannot form a 3x3 grid"),
+    ('{"scene": {"channels": 1}}', "scene images of shape [1, 32, 32] do not fit the arch's input_shape [3, 32, 32]"),
+    ('{"scene": {"image_size": 16}}', "scene images of shape [3, 16, 16] do not fit the arch's input_shape [3, 32, 32]"),
+    ('{"scene": {"num_classes": 5}}', "scene.num_classes 5 exceeds the arch's num_classes 3"),
 ], ids=["list", "truncated", "scene-int", "unknown-key", "seed-str", "epochs-float", "arch-int",
-        "n-train-bool", "lr-str", "rho-float", "end-float", "output-dir-int"])
+        "n-train-bool", "lr-str", "rho-float", "end-float", "output-dir-int",
+        "arch-input-2d", "arch-grid-3", "scene-channels", "scene-size", "scene-classes"])
 def test_run_rejects_a_bad_config_with_one_error_naming_the_file(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -1,6 +1,6 @@
-"""The engine's conv2d and maxpool2d kernels against the direct loops of
-reference_kernels: forward values and every adjoint, bit for bit, signed
-zeros included."""
+"""The engine's conv2d, maxpool2d and relu kernels against the direct
+loops of reference_kernels and the np.where forms they replaced: forward
+values and every adjoint, bit for bit, signed zeros included."""
 
 import numpy as np
 import pytest
@@ -74,17 +74,26 @@ def test_conv2d_matches_the_direct_loop_to_rounding_for_one_sample_or_one_filter
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 3), (2, 3), (1, 1), (1, 2), (3, 1), (3, 2), (2, 1)])
-@pytest.mark.parametrize("values", ["relu", "ties"])
+def _pool_input(values, rng, shape=(3, 4, 9, 11)):
+    if values == "relu":  # the zeros relu leaves make whole windows tie
+        return np.maximum(rng.normal(size=shape), 0.0)
+    if values == "ties":
+        return rng.integers(-1, 2, size=shape).astype(np.float64)
+    # windows whose max is 0.0 tied with -0.0, in either order
+    return rng.choice([-0.0, 0.0, -1.0], size=shape, p=[0.45, 0.45, 0.1])
+
+
+_POOLS = [(2, 2), (3, 3), (2, 3), (1, 1), (1, 2), (3, 1), (3, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("kernel,stride", _POOLS)
+@pytest.mark.parametrize("values", ["relu", "ties", "signed-zeros"])
 def test_maxpool2d_is_bit_identical_to_the_scatter_add(kernel, stride, values):
     # stride < kernel overlaps windows: a cell that wins in three or more of
     # them sums its adjoints in tap order, where add.at sums them in window
     # order, so only those cells may differ, and only by rounding
     rng = np.random.default_rng(100 * kernel + stride)
-    if values == "relu":  # the zeros relu leaves make whole windows tie
-        x = np.maximum(rng.normal(size=(3, 4, 9, 11)), 0.0)
-    else:
-        x = rng.integers(-1, 2, size=(3, 4, 9, 11)).astype(np.float64)
+    x = _pool_input(values, rng)
     tx = Tensor(x, requires_grad=True)
     with Tape() as tape:
         out = ad.maxpool2d(tx, kernel=kernel, stride=stride)
@@ -97,3 +106,41 @@ def test_maxpool2d_is_bit_identical_to_the_scatter_add(kernel, stride, values):
     few = wins <= 2
     assert_same_bits(gx[few], want_gx[few])
     np.testing.assert_allclose(gx, want_gx, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("kernel,stride", _POOLS)
+@pytest.mark.parametrize("values", ["relu", "ties", "signed-zeros"])
+def test_maxpool2d_off_the_tape_returns_the_on_tape_values(kernel, stride, values):
+    x = _pool_input(values, np.random.default_rng(7 * kernel + stride))
+    with Tape():
+        on_tape = ad.maxpool2d(Tensor(x, requires_grad=True), kernel=kernel, stride=stride)
+    assert on_tape.node_id is not None
+    off_tape = ad.maxpool2d(Tensor(x, requires_grad=True), kernel=kernel, stride=stride)
+    assert off_tape.node_id is None
+    assert_same_bits(off_tape.data, on_tape.data)
+
+
+def test_signed_zero_ties_keep_the_first_tap():
+    x = np.array([[[[-0.0, 0.0, 0.0, -0.0], [-1.0, -1.0, -1.0, -1.0]]]])
+    with Tape() as tape:
+        out = ad.maxpool2d(Tensor(x, requires_grad=True), kernel=2)
+    (gx,) = tape.nodes[out.node_id].backward_fn(np.array([[[[5.0, 7.0]]]]))
+    assert np.signbit(out.data).tolist() == [[[[True, False]]]]
+    assert gx.tolist() == [[[[5.0, 0.0, 7.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]]
+
+
+def test_relu_is_bit_identical_to_the_select():
+    # the reference is the select np.where(x > 0, x, 0.0): -0.0 and 0.0 both give 0.0
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 4, 9, 11))
+    spots = rng.random(x.shape) < 0.4
+    x[spots] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=int(spots.sum()))
+    g = rng.normal(size=x.shape)
+    g[rng.random(g.shape) < 0.2] = -0.0
+    mask = x > 0
+    assert_same_bits(ad.relu(Tensor(x)).data, np.where(mask, x, 0.0))
+    with Tape() as tape:
+        out = ad.relu(Tensor(x, requires_grad=True))
+    assert_same_bits(out.data, np.where(mask, x, 0.0))
+    (gx,) = tape.nodes[out.node_id].backward_fn(g)
+    assert_same_bits(gx, g * mask)

@@ -12,6 +12,7 @@ from freezelab.model import (
     Layer,
     PredictionGrid,
     ShapeChainError,
+    backbone_features,
     build_detector,
     decode_predictions,
     default_desk_arch,
@@ -229,6 +230,100 @@ def test_unfrozen_forward_reaches_backbone():
 
     assert "0.weight" in grads and np.any(grads["0.weight"].data != 0.0)
     assert "3.weight" in grads
+
+
+def _pool_arch():
+    """2x15x15 input: conv to an odd 13x13 map that a 2x2 pool takes to 6x6,
+    then conv to 5x5 and an overlapping 3x3 pool with stride 1."""
+    return {
+        "input_shape": [2, 15, 15],
+        "grid_size": 2,
+        "num_classes": 2,
+        "backbone": [
+            {"kind": "conv2d", "in_channels": 2, "out_channels": 3, "kernel": 3},
+            {"kind": "relu"},
+            {"kind": "maxpool2d", "kernel": 2, "stride": 2},
+            {"kind": "conv2d", "in_channels": 3, "out_channels": 4, "kernel": 2},
+            {"kind": "relu"},
+            {"kind": "maxpool2d", "kernel": 3, "stride": 1},
+        ],
+        "neck": [{"kind": "flatten"}],
+        "head": [
+            {"kind": "dense", "in_features": 36, "out_features": 7},
+            {"kind": "relu"},
+            {"kind": "dense", "in_features": 7, "out_features": 28},
+        ],
+    }
+
+
+def _as_written(layers, x):
+    """`layers` in arch order, straight from the primitives."""
+    for layer in layers:
+        p = layer.params
+        if layer.kind == "conv2d":
+            x = ad.conv2d(x, p["weight"], bias=p["bias"], stride=layer.stride)
+        elif layer.kind == "dense":
+            x = ad.add(ad.matmul(x, p["weight"]), p["bias"])
+        elif layer.kind == "relu":
+            x = ad.relu(x)
+        elif layer.kind == "maxpool2d":
+            x = ad.maxpool2d(x, kernel=layer.kernel, stride=layer.stride)
+        else:
+            x = ad.flatten(x)
+    return x
+
+
+def _forward_as_written(d, batch):
+    out = _as_written(d.layers(), batch)
+    return ad.reshape(out, (out.shape[0], d.grid_size, d.grid_size, 1 + d.num_classes + 4))
+
+
+def test_relu_after_pool_keeps_the_forward_bytes_and_the_gradient_values():
+    rng = np.random.default_rng(12)
+    d = build_detector(_pool_arch(), init_seed=5)
+    batch = Tensor(rng.normal(size=(4, 2, 15, 15)))  # zero-mean, so relu and pools tie at 0
+    targets = _random_targets(rng, 4, 2, 2)
+    table = d.grad_key_table()
+    runs = {}
+    for name, forward in (("engine", lambda: detector_forward(d, batch, freeze=0).tensor),
+                          ("written", lambda: _forward_as_written(d, batch))):
+        with Tape() as tape:
+            out = forward()
+            loss = detection_loss(PredictionGrid(out, 2, 2), targets)
+        grads = {table[uid]: g.data for uid, g in backward(loss, tape).items()}
+        runs[name] = (out.data, [node.kind for node in tape.nodes], grads)
+    (out, kinds, grads), (want_out, want_kinds, want_grads) = runs["engine"], runs["written"]
+    assert kinds[:6] == ["conv2d", "maxpool2d", "relu", "conv2d", "maxpool2d", "relu"]
+    assert want_kinds[:6] == ["conv2d", "relu", "maxpool2d", "conv2d", "relu", "maxpool2d"]
+    assert sorted(kinds) == sorted(want_kinds)
+    assert out.tobytes() == want_out.tobytes()
+    assert backbone_features(d, batch).data.tobytes() == _as_written(d.backbone, batch).data.tobytes()
+    assert set(grads) == set(want_grads) == {pid for pid, _ in d.parameters()}
+    for pid, g in want_grads.items():
+        np.testing.assert_array_equal(grads[pid], g, err_msg=pid)
+
+
+def test_a_relu_pool_pair_across_the_backbone_cut_is_not_swapped():
+    arch = {
+        "input_shape": [1, 8, 8],
+        "grid_size": 2,
+        "num_classes": 2,
+        "backbone": [
+            {"kind": "conv2d", "in_channels": 1, "out_channels": 2, "kernel": 3},
+            {"kind": "relu"},
+        ],
+        "neck": [{"kind": "maxpool2d", "kernel": 2}, {"kind": "flatten"}],
+        "head": [{"kind": "dense", "in_features": 18, "out_features": 28}],
+    }
+    d = build_detector(arch, init_seed=0)
+    batch = Tensor(np.random.default_rng(13).normal(size=(3, 1, 8, 8)))
+    features = backbone_features(d, batch)
+    assert features.shape == (3, 2, 6, 6)
+    assert features.data.tobytes() == _as_written(d.backbone, batch).data.tobytes()
+    with Tape() as tape:
+        pred = detector_forward(d, batch, freeze=0)
+    assert [node.kind for node in tape.nodes][:4] == ["conv2d", "relu", "maxpool2d", "flatten"]
+    assert pred.tensor.data.tobytes() == _forward_as_written(d, batch).data.tobytes()
 
 
 def test_forward_validates_inputs():

@@ -194,3 +194,34 @@ def test_update_matches_reference_formula():
         v = momentum * v + (g1 + wd * p)
         p = p - lr * v
         assert np.allclose(params["w"].data, p, rtol=0, atol=1e-12), trial
+
+
+@pytest.mark.parametrize("momentum", [0.9, 0.37, 0.0])
+def test_in_place_update_is_bit_identical_to_the_expression_form(momentum):
+    # the reference builds fresh arrays: v = m*v + (g + wd*p); p -= lr*v,
+    # and v = g + wd*p at m=0
+    rng = np.random.default_rng(int(momentum * 100) + 17)
+    cfg = SgdConfig(momentum=momentum, weight_decay=3e-3)
+    shapes = {"a.w": (7, 5), "a.b": (5,), "h.w": (4, 3, 2, 2), "frozen.w": (6,)}
+    params = {key: Tensor(rng.normal(size=shape)) for key, shape in shapes.items()}
+    want_p = {key: t.data.copy() for key, t in params.items()}
+    want_v = {}
+    frozen_v = rng.normal(size=shapes["frozen.w"])
+    state = OptimState({"frozen.w": frozen_v.copy()})
+    for step in range(25):
+        present = [key for key in shapes if key != "frozen.w" and (step < 3 or rng.random() < 0.8)]
+        grads = {key: Tensor(rng.normal(size=shapes[key])) for key in present}
+        lr = float(rng.uniform(1e-3, 0.3))
+        sgd_step(params, grads, state, lr=lr, cfg=cfg)
+        for key in present:
+            v = grads[key].data + cfg.weight_decay * want_p[key]
+            if momentum != 0.0:
+                v = momentum * want_v.get(key, np.zeros(shapes[key])) + v
+            want_v[key] = v
+            want_p[key] = want_p[key] - lr * v
+        for key in shapes:
+            assert params[key].data.tobytes() == want_p[key].tobytes(), (step, key)
+        assert set(state.velocity) == set(want_v) | {"frozen.w"}
+        for key, v in want_v.items():
+            assert state.velocity[key].tobytes() == v.tobytes(), (step, key)
+        assert state.velocity["frozen.w"].tobytes() == frozen_v.tobytes()
