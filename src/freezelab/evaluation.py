@@ -24,7 +24,10 @@ __all__ = [
     "precision_recall",
     "average_precision",
     "map50",
+    "IOU_THRESHOLD",
 ]
+
+IOU_THRESHOLD = 0.5  # the overlap a match needs: mAP@50 by name
 
 
 @dataclass(frozen=True)
@@ -75,20 +78,13 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def match_detections(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    iou_threshold: float = 0.5,
-) -> list[bool]:
+def match_detections(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth]) -> list[bool]:
     """True/false-positive flag per detection, in the original order.
 
     Greedy: detections are ranked by (score desc, original index asc); each
     takes the highest-IoU unmatched ground truth of its own image and class
-    if that IoU is >= iou_threshold. A ground truth matches at most once.
+    if that IoU is >= IOU_THRESHOLD. A ground truth matches at most once.
     """
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-
     gt_by_key: dict[tuple[int, int], list[int]] = {}
     for gi, gt in enumerate(ground_truths):
         gt_by_key.setdefault((gt.image_id, gt.class_id), []).append(gi)
@@ -105,7 +101,7 @@ def match_detections(
             overlap = iou(det.box, ground_truths[gi].box)
             if overlap > best_iou:
                 best_gi, best_iou = gi, overlap
-        if best_gi >= 0 and best_iou >= iou_threshold:
+        if best_gi >= 0 and best_iou >= IOU_THRESHOLD:
             claimed[best_gi] = True
             flags[di] = True
     return flags
@@ -166,18 +162,14 @@ class EvalReport:
     n_ground_truth: int
 
 
-def map50(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    iou_threshold: float = 0.5,
-) -> EvalReport:
+def map50(detections: Sequence[Detection], ground_truths: Sequence[GroundTruth]) -> EvalReport:
     """Mean AP over every class that has at least one ground-truth box.
 
     Classes that appear only in detections contribute nothing (their false
     positives still hurt no other class, because matching is per class).
     With no ground truth at all the mean is defined as 0.0.
     """
-    flags = match_detections(detections, ground_truths, iou_threshold)
+    flags = match_detections(detections, ground_truths)
 
     class_ids = sorted({gt.class_id for gt in ground_truths})
     per_class: dict[int, float] = {}

@@ -157,21 +157,8 @@ def _schedule_from_json(raw) -> ScheduleSpec:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "seed": cfg.seed,
-        "total_epochs": cfg.total_epochs,
-        "eval_every": cfg.eval_every,
-        "n_train": cfg.n_train,
-        "n_val": cfg.n_val,
-        "arch": cfg.arch,
-        "scene": asdict(cfg.scene),
-        "lr": asdict(cfg.lr),
-        "sgd": asdict(cfg.sgd),
-        "schedule": _schedule_to_json(cfg.schedule),
-        "time_model": asdict(cfg.time_model),
-        "output_dir": cfg.output_dir,
-    }
+    """The config as one JSON-ready dict of fresh objects."""
+    return {"version": CONFIG_VERSION, **asdict(cfg), "schedule": _schedule_to_json(cfg.schedule)}
 
 
 _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (dict, "an object"),
@@ -665,34 +652,26 @@ def read_curves_csv(path) -> list[EpochRecord]:
 
 def write_ledger_csv(ledger: FlopsLedger, path) -> None:
     write_table(path, LEDGER_COLUMNS, (
-        [r.epoch, r.frozen, r.n_samples, r.forward["backbone"], r.backward["backbone"],
-         r.forward["neck"] + r.forward["head"], r.backward["neck"] + r.backward["head"], running]
-        for r, running in zip(ledger.records, ledger.cumulative_totals())
+        [*astuple(r), running] for r, running in zip(ledger.records, ledger.cumulative_totals())
     ))
 
 
 def read_ledger_csv(path) -> FlopsLedger:
-    """Rebuild a ledger from its CSV export.
-
-    The neck/head split is not recoverable from the file (they are exported
-    as a combined "rest" column), so the loaded records carry the combined
-    value under "head". Totals and run-shape comparisons are unaffected.
-    Every row must carry a 0/1 freeze flag, a new epoch, and the running
-    total of the rows so far in `cum_total`.
+    """Rebuild a ledger from its CSV export, one record per row. Every row
+    must carry a 0/1 freeze flag, a new epoch, and the running total of the
+    rows so far in `cum_total`.
     """
     ledger = FlopsLedger()
     running = 0
 
     def add_row(row):
         nonlocal running
-        epoch, frozen, n, fwd_backbone, bwd_backbone, fwd_rest, bwd_rest, cum_total = map(int, row)
-        if frozen not in (0, 1):
-            raise ValueError(f"frozen must be 0 or 1, got {frozen}")
-        if any(r.epoch == epoch for r in ledger.records):
-            raise ValueError(f"duplicate epoch {epoch}")
-        fwd = {"backbone": fwd_backbone, "neck": 0, "head": fwd_rest}
-        bwd = {"backbone": bwd_backbone, "neck": 0, "head": bwd_rest}
-        record = EpochFlopsRecord(epoch, frozen, n, fwd, bwd)
+        *values, cum_total = map(int, row)
+        record = EpochFlopsRecord(*values)
+        if record.frozen not in (0, 1):
+            raise ValueError(f"frozen must be 0 or 1, got {record.frozen}")
+        if any(r.epoch == record.epoch for r in ledger.records):
+            raise ValueError(f"duplicate epoch {record.epoch}")
         running += record.total()
         if cum_total != running:
             raise ValueError(f"cum_total {cum_total} differs from the running row sum {running}")

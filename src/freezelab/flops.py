@@ -72,14 +72,19 @@ def layer_forward_flops(layer, input_shape: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class EpochFlopsRecord:
+    """One epoch's charge: one ledger.csv row without its running total.
+    "rest" is the neck and head together."""
+
     epoch: int
     frozen: int  # freeze signal actually applied, 0 or 1
     n_samples: int
-    forward: dict  # group -> int
-    backward: dict  # group -> int
+    fwd_backbone: int
+    bwd_backbone: int
+    fwd_rest: int
+    bwd_rest: int
 
     def total(self) -> int:
-        return sum(self.forward.values()) + sum(self.backward.values())
+        return self.fwd_backbone + self.bwd_backbone + self.fwd_rest + self.bwd_rest
 
 
 def _signature(model: Iterable[LayerFlopsSpec]) -> tuple:
@@ -87,7 +92,7 @@ def _signature(model: Iterable[LayerFlopsSpec]) -> tuple:
 
 
 class FlopsLedger:
-    """Per-epoch, per-group FLOP records for one training run.
+    """Per-epoch FLOP records, backbone and rest, for one training run.
 
     The model signature (per-layer forward cost and group) is fixed at
     construction so that two ledgers can be compared only when they
@@ -114,14 +119,11 @@ class FlopsLedger:
         elif signature != self.model_signature:
             raise ValueError("model spec does not match the one this ledger was built for")
 
-        fwd = {g: 0 for g in GROUPS}
-        bwd = {g: 0 for g in GROUPS}
-        for spec in model:
-            per_epoch = n_samples * spec.forward_flops_per_sample
-            fwd[spec.group] += per_epoch
-            if spec.group != "backbone" or freeze == BACKBONE_UNFROZEN:
-                bwd[spec.group] += BACKWARD_FORWARD_RATIO * per_epoch
-        self.records.append(EpochFlopsRecord(epoch, freeze, n_samples, fwd, bwd))
+        backbone = n_samples * sum(s.forward_flops_per_sample for s in model if s.group == "backbone")
+        rest = n_samples * sum(s.forward_flops_per_sample for s in model if s.group != "backbone")
+        bwd_backbone = BACKWARD_FORWARD_RATIO * backbone if freeze == BACKBONE_UNFROZEN else 0
+        self.records.append(EpochFlopsRecord(epoch, freeze, n_samples, backbone, bwd_backbone,
+                                             rest, BACKWARD_FORWARD_RATIO * rest))
 
     def total_flops(self) -> int:
         return sum(r.total() for r in self.records)
@@ -134,13 +136,8 @@ class FlopsLedger:
         return out
 
     def _comparison_key(self):
-        # Neck and head are aggregated because the CSV export only keeps
-        # their sum; a ledger read back from disk must still compare equal.
         ordered = sorted(self.records, key=lambda r: r.epoch)
-        return tuple(
-            (r.epoch, r.n_samples, r.forward["backbone"], r.forward["neck"] + r.forward["head"])
-            for r in ordered
-        )
+        return tuple((r.epoch, r.n_samples, r.fwd_backbone, r.fwd_rest) for r in ordered)
 
 
 def delta_flops(candidate: FlopsLedger, baseline: FlopsLedger) -> int:

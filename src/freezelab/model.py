@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluation import BBox, Detection, GroundTruth
-from .flops import LayerFlopsSpec, layer_forward_flops
+from .flops import GROUPS, LayerFlopsSpec, layer_forward_flops
 from .rng import STREAM_PARAM_INIT, generator
 
 __all__ = [
@@ -155,7 +155,6 @@ class Detector:
     backbone: tuple
     neck: tuple  # may be empty
     head: tuple
-    group_of: dict  # layer_id -> group name
     input_shape: tuple
     grid_size: int
     num_classes: int
@@ -166,12 +165,7 @@ class Detector:
     def parameters(self) -> list[tuple[str, Tensor]]:
         """All (param_id, tensor) pairs in a fixed order; param_id is
         '<layer_id>.<name>'."""
-        out = []
-        for layer in self.layers():
-            for name in ("weight", "bias"):
-                if name in layer.params:
-                    out.append((f"{layer.layer_id}.{name}", layer.params[name]))
-        return out
+        return list(_parameters(self.layers()))
 
     def grad_key_table(self) -> dict[int, str]:
         """Map tensor uid -> param_id, for translating backward() output."""
@@ -281,17 +275,13 @@ def plan_detector(arch_config: dict) -> Detector:
         raise ValueError(f"input_shape must be [channels, H, W], got {input_shape}")
 
     groups = {}
-    group_of = {}
     next_id = 0
-    for group in ("backbone", "neck", "head"):
-        specs = arch_config.get(group) or []
+    for group in GROUPS:
         layers = []
-        for spec in specs:
+        for spec in arch_config.get(group) or []:
             spec = dict(spec)
             kind = spec.pop("kind", None)
-            layer = Layer(kind, next_id, **spec)
-            group_of[next_id] = group
-            layers.append(layer)
+            layers.append(Layer(kind, next_id, **spec))
             next_id += 1
         groups[group] = tuple(layers)
     if not groups["backbone"] or not groups["head"]:
@@ -323,7 +313,6 @@ def plan_detector(arch_config: dict) -> Detector:
         backbone=groups["backbone"],
         neck=groups["neck"],
         head=groups["head"],
-        group_of=group_of,
         input_shape=input_shape,
         grid_size=grid_size,
         num_classes=num_classes,
@@ -560,25 +549,26 @@ def decode_predictions(
     return detections
 
 
+def _parameters(layers: Sequence[Layer]):
+    """(param_id, tensor) for every parameter of `layers`, in layer order,
+    weight before bias."""
+    for layer in layers:
+        for name in ("weight", "bias"):
+            if name in layer.params:
+                yield f"{layer.layer_id}.{name}", layer.params[name]
+
+
 def parameter_groups(d: Detector) -> dict[str, tuple[str, ...]]:
     """Partition of parameter ids by group, in parameters() order."""
-    out: dict[str, list[str]] = {"backbone": [], "neck": [], "head": []}
-    group_by_layer = d.group_of
-    for pid, _ in d.parameters():
-        layer_id = int(pid.split(".", 1)[0])
-        out[group_by_layer[layer_id]].append(pid)
-    return {g: tuple(ids) for g, ids in out.items()}
+    return {g: tuple(pid for pid, _ in _parameters(getattr(d, g))) for g in GROUPS}
 
 
 def flops_specs(d: Detector) -> list[LayerFlopsSpec]:
     """Per-layer forward cost (one sample), tagged with each layer's group."""
     return [
-        LayerFlopsSpec(
-            layer_id=layer.layer_id,
-            group=d.group_of[layer.layer_id],
-            forward_flops_per_sample=layer_forward_flops(layer, layer.input_shape),
-        )
-        for layer in d.layers()
+        LayerFlopsSpec(layer.layer_id, g, layer_forward_flops(layer, layer.input_shape))
+        for g in GROUPS
+        for layer in getattr(d, g)
     ]
 
 
@@ -639,7 +629,7 @@ def load_checkpoint(path) -> list[tuple[int, str, np.ndarray]]:
         raise ValueError(f"{path} is not a checkpoint file")
     version, count = unpack("<HI", "header")
     if version != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     entries = []
     for _ in range(count):
         layer_id, name_len = unpack("<IH", "entry header")
@@ -665,9 +655,9 @@ def restore_checkpoint(d: Detector, path) -> None:
     if set(by_id) != set(params):
         missing = sorted(set(params) - set(by_id))
         extra = sorted(set(by_id) - set(params))
-        raise ValueError(f"checkpoint does not match detector (missing={missing}, extra={extra})")
+        raise ValueError(f"{path}: checkpoint does not match detector (missing={missing}, extra={extra})")
     for pid, tensor in params.items():
         values = by_id[pid]
         if values.shape != tensor.shape:
-            raise ValueError(f"checkpoint shape {values.shape} for {pid!r}, expected {tensor.shape}")
+            raise ValueError(f"{path}: checkpoint shape {values.shape} for {pid!r}, expected {tensor.shape}")
         tensor.data[...] = values

@@ -1,4 +1,4 @@
-"""Counter-based random streams keyed by (seed, stream, index, field).
+"""Counter-based random streams keyed by (seed, stream, index).
 
 Every random draw in the project goes through Philox generators derived
 here, so any sample is reproducible in isolation: no global RNG state, no
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 # Stream tags keep unrelated consumers of the same seed statistically
-# disjoint even when their (index, field) pairs collide.
+# disjoint even when their indices collide.
 STREAM_SCENE = 1
 STREAM_PARAM_INIT = 2
 STREAM_BATCH_SHUFFLE = 3
@@ -26,13 +26,13 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def philox_key(seed: int, stream: int, index: int, field: int = 0) -> int:
-    """Derive a 128-bit Philox key from the four addressing integers."""
+def philox_key(seed: int, stream: int, index: int) -> int:
+    """Derive a 128-bit Philox key from the three addressing integers."""
     hi = _splitmix64((seed & _MASK64) ^ _splitmix64(stream))
-    lo = _splitmix64((index & _MASK64) ^ _splitmix64(field + 0x51ED2701))
+    lo = _splitmix64((index & _MASK64) ^ _splitmix64(0x51ED2701))
     return (hi << 64) | lo
 
 
-def generator(seed: int, stream: int, index: int, field: int = 0) -> np.random.Generator:
-    """A fresh Generator for one (seed, stream, index, field) address."""
-    return np.random.Generator(np.random.Philox(key=philox_key(seed, stream, index, field)))
+def generator(seed: int, stream: int, index: int) -> np.random.Generator:
+    """A fresh Generator for one (seed, stream, index) address."""
+    return np.random.Generator(np.random.Philox(key=philox_key(seed, stream, index)))

@@ -144,13 +144,6 @@ def test_match_independent_of_input_permutation():
         assert [flags[list(perm).index(i)] for i in range(len(dets))] == base
 
 
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        match_detections([], [], iou_threshold=0.0)
-    with pytest.raises(ValueError):
-        match_detections([], [], iou_threshold=1.5)
-
-
 # --------------------------------------------------------------------------
 # precision / recall / AP
 

@@ -4,7 +4,7 @@ and the run-directory report files."""
 import hashlib
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -36,10 +36,11 @@ from freezelab.experiment import (
     write_run_dir,
     write_summary_csv,
 )
-from freezelab.flops import FlopsLedger, delta_flops, estimate_training_time
+from freezelab.flops import FlopsLedger, TimeModel, delta_flops, estimate_training_time
 from freezelab.model import (
     build_detector,
     decode_predictions,
+    default_desk_arch,
     detection_loss,
     detector_forward,
     encode_targets,
@@ -48,9 +49,9 @@ from freezelab.model import (
     parameter_groups,
     restore_checkpoint,
 )
-from freezelab.optim import OptimState, clip_gradients, sgd_step
+from freezelab.optim import OptimState, SgdConfig, clip_gradients, sgd_step
 from freezelab.rng import STREAM_BATCH_SHUFFLE, generator
-from freezelab.schedule import ScheduleSpec, lr_at, phase_freeze_signal
+from freezelab.schedule import LrConfig, ScheduleSpec, lr_at, phase_freeze_signal
 
 
 def _small_config(schedule_phases, *, seed=0, epochs=6, eval_every=3, n_train=16, n_val=8):
@@ -290,6 +291,16 @@ def test_planned_ledger_equals_the_trained_one(phases):
     assert planned.model_signature == run.ledger.model_signature
 
 
+@pytest.mark.parametrize("phases", [
+    [(math.inf, 1)],
+    [(4, 1), (math.inf, math.inf)],
+], ids=["full", "switch4-inf"])
+def test_ledger_csv_reads_back_the_run_ledger(tmp_path, phases):
+    cfg = replace(_small_config(phases, n_val=0), output_dir=str(tmp_path))
+    run = run_experiment(cfg)
+    assert read_ledger_csv(tmp_path / "ledger.csv").records == run.ledger.records
+
+
 def test_config_accepts_an_integer_for_a_float_field(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"lr": {"base_lr": 1}, "time_model": {"minutes_frozen": 10}}')
@@ -302,6 +313,56 @@ def test_config_dict_round_trip():
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
     assert back.schedule.describe() == "3:1|9:5|inf:inf"
+
+
+def _listed_config_dict(cfg, schedule):
+    """config_to_dict as it was once written out field by field, with the
+    expected JSON schedule given literally."""
+    return {
+        "version": CONFIG_VERSION,
+        "seed": cfg.seed,
+        "total_epochs": cfg.total_epochs,
+        "eval_every": cfg.eval_every,
+        "n_train": cfg.n_train,
+        "n_val": cfg.n_val,
+        "arch": cfg.arch,
+        "scene": asdict(cfg.scene),
+        "lr": asdict(cfg.lr),
+        "sgd": asdict(cfg.sgd),
+        "schedule": schedule,
+        "time_model": asdict(cfg.time_model),
+        "output_dir": cfg.output_dir,
+    }
+
+
+def _non_default_config():
+    arch = default_desk_arch()
+    arch["backbone"][3]["out_channels"] = 8
+    arch["head"][0]["in_features"] = 288
+    return ExperimentConfig(
+        seed=3, total_epochs=9, eval_every=2, n_train=12, n_val=5, arch=arch,
+        scene=SceneConfig(seed=3, num_classes=2, noise_std=0.05, background=0.2),
+        lr=LrConfig(base_lr=0.01, warmup_iters=7, warmup_end_fraction=0.5, decay_epoch=6, decay_factor=0.5),
+        sgd=SgdConfig(momentum=0.5, weight_decay=0.001, clip_max_norm=10.0, batch_size=4),
+        schedule=ScheduleSpec([(2, 1), (5, 3), (math.inf, math.inf)]),
+        time_model=TimeModel(minutes_unfrozen=20.0, minutes_frozen=10.0),
+        output_dir="runs/x",
+    )
+
+
+def test_config_dict_lists_every_field():
+    assert config_to_dict(default_config()) == _listed_config_dict(default_config(), [["inf", "1"]])
+    cfg = _non_default_config()
+    assert config_to_dict(cfg) == _listed_config_dict(cfg, [[2, "1"], [5, "3"], ["inf", "inf"]])
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_config_dict_shares_no_object_with_the_config():
+    cfg = default_config()
+    raw = config_to_dict(cfg)
+    raw["arch"]["grid_size"] = 9
+    raw["arch"]["backbone"][0]["out_channels"] = 9
+    assert cfg.arch == default_desk_arch()
 
 
 def test_config_file_round_trip_is_byte_stable(tmp_path):

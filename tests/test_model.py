@@ -1,6 +1,9 @@
 """Detector tests: construction, the freeze-gated forward pass, the fused
 loss, target codecs, and checkpointing."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -606,7 +609,7 @@ def test_checkpoint_rejects_wrong_parameter_set(tmp_path):
         {"kind": "dense", "in_features": 16, "out_features": 28},
     ]
     bigger = build_detector(arch, init_seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         restore_checkpoint(bigger, path)
 
 
@@ -619,7 +622,7 @@ def test_checkpoint_rejects_wrong_shapes(tmp_path):
     arch["backbone"][0]["out_channels"] = 3  # same ids, fatter conv
     arch["head"] = [{"kind": "dense", "in_features": 108, "out_features": 28}]
     fatter = build_detector(arch, init_seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         restore_checkpoint(fatter, path)
 
 
@@ -637,6 +640,12 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     padded.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError):
         load_checkpoint(padded)
+
+    newer = tmp_path / "newer.bin"
+    raw = path.read_bytes()
+    newer.write_bytes(raw[:4] + struct.pack("<H", 2) + raw[6:])
+    with pytest.raises(ValueError, match=re.escape(f"{newer}: unsupported checkpoint version 2")):
+        load_checkpoint(newer)
 
 
 @pytest.mark.parametrize("cut", [8, 20, 100, -3])

@@ -1,12 +1,17 @@
 """Package structure rules, checked on the source: no module imports a
 sibling's private (underscore) name, only `experiment` reads or writes
-CSV, `flops` does no file I/O, and the backbone runs off the tape only in
-`model.backbone_features`."""
+CSV, `flops` does no file I/O, the backbone runs off the tape only in
+`model.backbone_features`, and a ledger record has the fields of a
+`ledger.csv` row."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from freezelab.experiment import LEDGER_COLUMNS
+from freezelab.flops import EpochFlopsRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "freezelab"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
@@ -76,3 +81,7 @@ def test_only_backbone_features_pauses_the_tape():
     callers = [(module, function) for module in MODULES
                for function in _calls_by_function(_tree(module), "pause_recording")]
     assert callers == [("model", "backbone_features")]
+
+
+def test_a_ledger_record_is_a_ledger_csv_row_without_its_running_total():
+    assert [f.name for f in fields(EpochFlopsRecord)] + ["cum_total"] == list(LEDGER_COLUMNS)
