@@ -74,7 +74,15 @@ def _parse_rhos(text: str) -> list:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    seeds = [int(p) for p in text.split(",") if p.strip()]
+    seeds = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            seeds.append(int(part))
+        except ValueError:
+            raise ValueError(f"--seeds takes integers, got {part!r}") from None
     if not seeds:
         raise ValueError(f"no seeds found in --seeds {text!r}")
     return list(dict.fromkeys(seeds))  # drop repeats, keep first-seen order

@@ -19,9 +19,11 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import ctypes
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -367,9 +369,12 @@ def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: i
                       cache: Optional[RunCache] = None) -> EvalReport:
     """mAP@50 of the detector over `scenes`. Runs outside any tape, so
     nothing is recorded and no FLOPs are charged. The backbone outputs
-    come from `cache.val` when it is filled; otherwise they are computed
-    up front, and stored there when a cache for these scenes is given."""
+    come from `cache.val` when it is filled, which must then hold one row
+    per scene; otherwise they are computed up front, and stored there when
+    a cache for these scenes is given."""
     stored = cache.val if cache is not None else None
+    if stored is not None and len(stored) != len(scenes):
+        raise ValueError(f"cache holds {len(stored)} val scenes, got {len(scenes)}")
     features = stored if stored is not None else _backbone_outputs(detector, scenes, batch_size)
     if cache is not None:
         cache.val = features
@@ -457,6 +462,43 @@ class TrainState:
         self.iteration, self.report = parked.iteration, parked.report
 
 
+# glibc's mallopt options, and the values its dynamic threshold rule
+# reaches on 64-bit after freeing a block at its 32 MiB ceiling.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 64 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_heap_held = False
+
+
+def _libc():
+    """This process's C library on Linux, else None."""
+    return ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+
+
+def _hold_heap() -> None:
+    """Keep a training step's freed temporaries on the heap, once per
+    process; nothing where the C library has no mallopt.
+
+    A step allocates and frees blocks of 0.1-0.5 MB. Under glibc's
+    default policy these are mmapped, or trimmed off the heap top, and
+    the next step faults their pages back in: hundreds of minor faults
+    per unfrozen step, until something frees a block large enough to
+    raise the dynamic thresholds (a frozen stretch's feature store does;
+    a run with no frozen epoch never does). Setting both thresholds up
+    front makes every run start in that state. Allocation policy only:
+    no value computed changes.
+    """
+    global _heap_held
+    if _heap_held:
+        return
+    _heap_held = True
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]]]) -> Iterator[RunResult]:
     """Train runs that differ only in schedule and output_dir, each shared
     prefix of their freeze signals once, and yield each run's RunResult.
@@ -475,6 +517,8 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
 
     The results share one Detector, which the walk moves on to the next
     branch: read a result's detector before asking for the next result.
+    Before the data is generated, the process's heap policy is set (see
+    _hold_heap).
     """
     runs = list(runs)
     if not runs:
@@ -490,6 +534,7 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
             delta_flops(planned, baseline)
     signals = [_freeze_signals(c) for c, _ in runs]
 
+    _hold_heap()
     train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
     state = TrainState(detector, OptimState(), FlopsLedger(flops_specs(detector)), [], 0,

@@ -209,6 +209,17 @@ def test_grid_trains_a_repeated_seed_once(tmp_path):
     assert [(row[0], row[1], row[3]) for row in rows] == [("2", "1", "NA"), ("inf", "1", "NA")]
 
 
+def test_grid_names_the_bad_part_of_seeds(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path)
+    assert main([
+        "grid", "--config", str(cfg_path), "--rhos", "2",
+        "--out", str(tmp_path / "g"), "--seeds", "0,x",
+    ]) == 1
+    assert capsys.readouterr().err == "error: --seeds takes integers, got 'x'\n"
+    assert not (tmp_path / "g").exists()
+
+
 def test_grid_rejects_switch_outside_the_run(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _small_config_file(cfg_path, epochs=3)

@@ -23,6 +23,7 @@ from freezelab.experiment import (
     RunCache,
     RunResult,
     default_config,
+    evaluate_detector,
     run_experiment,
     summarize_run,
     train_epoch,
@@ -250,6 +251,17 @@ def test_train_epoch_rejects_a_cache_of_other_scenes():
         train_epoch(detector, scenes, 0, 1, OptimState(), FlopsLedger(flops_specs(detector)),
                     lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, iteration_start=0,
                     cache=RunCache(detector, scenes[:-1]))
+
+
+def test_evaluate_detector_rejects_a_val_store_of_other_scenes():
+    cfg = _config(SCHEDULES["always-active"], n_val=16)
+    scenes, val = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
+    detector = build_detector(cfg.arch, init_seed=cfg.seed)
+    cache = RunCache(detector, scenes)
+    evaluate_detector(detector, val, cfg.sgd.batch_size, cache=cache)
+    assert len(cache.val) == 16
+    with pytest.raises(ValueError, match="cache holds 16 val scenes, got 8"):
+        evaluate_detector(detector, val[:8], cfg.sgd.batch_size, cache=cache)
 
 
 def test_forward_from_stored_features_is_bit_identical():

@@ -1,8 +1,9 @@
 """Package structure rules, checked on the source: no module imports a
 sibling's private (underscore) name, only `experiment` reads or writes
 CSV, `flops` does no file I/O, the backbone runs off the tape only in
-`model.backbone_features`, and a ledger record has the fields of a
-`ledger.csv` row."""
+`model.backbone_features`, a ledger record has the fields of a
+`ledger.csv` row, and the one process-wide setting (the heap policy,
+the only use of `ctypes`) is made in `experiment.run_experiments`."""
 
 import ast
 from dataclasses import fields
@@ -85,3 +86,13 @@ def test_only_backbone_features_pauses_the_tape():
 
 def test_a_ledger_record_is_a_ledger_csv_row_without_its_running_total():
     assert [f.name for f in fields(EpochFlopsRecord)] + ["cum_total"] == list(LEDGER_COLUMNS)
+
+
+def test_the_heap_policy_is_the_one_process_setting_and_run_experiments_makes_it():
+    assert [module for module in MODULES
+            if any(src == "ctypes" for src, _ in _imports(_tree(module)))] == ["experiment"]
+    callers = {name: {(module, function) for module in MODULES
+                      for function in _calls_by_function(_tree(module), name)}
+               for name in ("mallopt", "_hold_heap")}
+    assert callers == {"mallopt": {("experiment", "_hold_heap")},
+                       "_hold_heap": {("experiment", "run_experiments")}}
