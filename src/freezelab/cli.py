@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import Callable
 
 from .experiment import (
     default_config,
@@ -61,31 +62,21 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _parse_rhos(text: str) -> list:
-    rhos = []
+def _parse_list(text: str, flag: str, parse: Callable[[str], object], takes: str) -> list:
+    """The values of a comma list, repeats dropped in first-seen order. A
+    part that `parse` rejects raises one ValueError naming `flag` and what
+    it `takes`."""
+    values = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
-        rhos.append(parse_rho(part))
-    if not rhos:
-        raise ValueError(f"no periods found in --rhos {text!r}")
-    return list(dict.fromkeys(rhos))  # drop repeats, keep first-seen order
-
-
-def _parse_seeds(text: str) -> list[int]:
-    seeds = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            seeds.append(int(part))
-        except ValueError:
-            raise ValueError(f"--seeds takes integers, got {part!r}") from None
-    if not seeds:
-        raise ValueError(f"no seeds found in --seeds {text!r}")
-    return list(dict.fromkeys(seeds))  # drop repeats, keep first-seen order
+        if part:
+            try:
+                values.append(parse(part))
+            except ValueError:
+                raise ValueError(f"{flag} takes {takes}, got {part!r}") from None
+    if not values:
+        raise ValueError(f"no values found in {flag} {text!r}")
+    return list(dict.fromkeys(values))
 
 
 def _cmd_grid(args) -> int:
@@ -93,11 +84,11 @@ def _cmd_grid(args) -> int:
     out_root = args.out if args.out is not None else base.output_dir
     if out_root is None:
         raise SystemExit("error: config has no output_dir and --out was not given")
-    rhos = _parse_rhos(args.rhos)
+    rhos = _parse_list(args.rhos, "--rhos", parse_rho, "positive integers or inf")
     if 1 not in rhos:
         rhos.insert(0, 1)  # the full-training baseline anchors every delta
     rhos.sort()
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_list(args.seeds, "--seeds", int, "integers")
     switch = args.switch
     if not (0 < switch < base.total_epochs):
         raise SystemExit(

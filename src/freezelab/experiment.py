@@ -16,7 +16,6 @@ format; the checkpoint's binary layout lives in model.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import csv
 import ctypes
@@ -26,7 +25,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, astuple, dataclass, field, replace
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +45,8 @@ from .model import (
     flops_specs,
     load_checkpoint,
     plan_detector,
+    restore_checkpoint,
+    save_arrays,
     save_checkpoint,
 )
 from .optim import OptimState, SgdConfig, clip_gradients, sgd_step
@@ -404,17 +405,6 @@ def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
     return ledger
 
 
-_VELOCITY = ".velocity"  # name suffix of a velocity entry in a parked state's file
-
-
-class _Parked(NamedTuple):
-    path: str
-    ledger: FlopsLedger
-    records: list
-    iteration: int
-    report: Optional[EvalReport]
-
-
 @dataclass
 class TrainState:
     """Everything a run carries from one epoch to the next: the detector,
@@ -436,30 +426,25 @@ class TrainState:
     cache: RunCache
     report: Optional[EvalReport] = None
 
-    def park(self, path) -> _Parked:
-        """Set this state aside to resume later: the parameters and the
-        velocity go to `path` in the checkpoint entry layout, and the rest
-        is copied. The feature stores are not kept."""
-        velocity = []
-        for pid, v in self.optim.velocity.items():
-            layer_id, name = pid.split(".", 1)
-            velocity.append((int(layer_id), name + _VELOCITY, v))
-        save_checkpoint(self.detector, path, extra=velocity)
-        return _Parked(path, copy.deepcopy(self.ledger), list(self.records), self.iteration, self.report)
+    def park(self, path) -> tuple:
+        """Set this state aside to resume later, as (path, ledger, records,
+        iteration): the parameters go to `path` and the velocity to
+        `path + ".velocity"`, both in the checkpoint codec, and the rest is
+        copied. The feature stores and the last evaluation are not kept: a
+        resumed branch trains through the run's last epoch, which
+        evaluates whenever there are val scenes."""
+        save_checkpoint(self.detector, path)
+        save_arrays(self.optim.velocity, path + ".velocity")
+        return path, copy.deepcopy(self.ledger), list(self.records), self.iteration
 
-    def resume(self, parked: _Parked) -> None:
-        """Return to a parked state in place, and delete its file."""
-        params = dict(self.detector.parameters())
-        velocity = {}
-        for layer_id, name, values in load_checkpoint(parked.path):
-            if name.endswith(_VELOCITY):
-                velocity[f"{layer_id}.{name[:-len(_VELOCITY)]}"] = values
-            else:
-                params[f"{layer_id}.{name}"].data[...] = values
-        os.remove(parked.path)
-        self.optim = OptimState(velocity)
-        self.ledger, self.records = parked.ledger, parked.records
-        self.iteration, self.report = parked.iteration, parked.report
+    def resume(self, parked: tuple) -> None:
+        """Return to a parked state in place, and delete its files. The
+        parameter file must fit the detector, as a run's checkpoint must."""
+        path, self.ledger, self.records, self.iteration = parked
+        restore_checkpoint(self.detector, path)
+        self.optim = OptimState(load_checkpoint(path + ".velocity"))
+        os.remove(path)
+        os.remove(path + ".velocity")
 
 
 # glibc's mallopt options, and the values its dynamic threshold rule
@@ -509,10 +494,11 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     the trie of the runs' freeze-signal sequences. Where they part, the
     runs whose next epoch is frozen go on from the live state and keep its
     feature stores; the others, whose next epoch drops the stores anyway,
-    are parked in a temporary directory until that branch is done. Runs
-    with one sequence share a leaf, which writes their run directories,
-    drops the stores, then yields their results: results come in the
-    order the walk finishes them. Every run directory holds the bytes an
+    are parked (see TrainState.park) until that branch is done, in a
+    temporary directory that goes when the walk ends or raises. Runs with
+    one sequence share a leaf, which writes their run directories, drops
+    the stores, then yields their results: results come in the order the
+    walk finishes them. Every run directory holds the bytes an
     independent run writes.
 
     The results share one Detector, which the walk moves on to the next
@@ -539,8 +525,7 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
     state = TrainState(detector, OptimState(), FlopsLedger(flops_specs(detector)), [], 0,
                        RunCache(detector, train_scenes))
-    with contextlib.ExitStack() as cleanup:
-        fork_dir = None  # made at the first fork, removed when the walk ends or raises
+    with tempfile.TemporaryDirectory(prefix="freezelab-fork-") as fork_dir:
         branches = [(None, list(range(len(runs))))]  # (parked state, indices of its runs)
         while branches:
             parked, group = branches.pop()
@@ -549,8 +534,6 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
             for epoch in range(len(state.records), cfg.total_epochs):
                 unfrozen = [i for i in group if not signals[i][epoch]]
                 if 0 < len(unfrozen) < len(group):
-                    if fork_dir is None:
-                        fork_dir = cleanup.enter_context(tempfile.TemporaryDirectory(prefix="freezelab-fork-"))
                     branches.append((state.park(os.path.join(fork_dir, f"{len(branches)}.bin")), unfrozen))
                     group = [i for i in group if signals[i][epoch]]
                 freeze = signals[group[0]][epoch]
@@ -703,8 +686,8 @@ def write_ledger_csv(ledger: FlopsLedger, path) -> None:
 
 def read_ledger_csv(path) -> FlopsLedger:
     """Rebuild a ledger from its CSV export, one record per row. Every row
-    must carry a 0/1 freeze flag, a new epoch, and the running total of the
-    rows so far in `cum_total`.
+    must pass FlopsLedger.append and carry the running total of the rows
+    so far in `cum_total`.
     """
     ledger = FlopsLedger()
     running = 0
@@ -712,15 +695,10 @@ def read_ledger_csv(path) -> FlopsLedger:
     def add_row(row):
         nonlocal running
         *values, cum_total = map(int, row)
-        record = EpochFlopsRecord(*values)
-        if record.frozen not in (0, 1):
-            raise ValueError(f"frozen must be 0 or 1, got {record.frozen}")
-        if any(r.epoch == record.epoch for r in ledger.records):
-            raise ValueError(f"duplicate epoch {record.epoch}")
-        running += record.total()
+        ledger.append(EpochFlopsRecord(*values))
+        running += ledger.records[-1].total()
         if cum_total != running:
             raise ValueError(f"cum_total {cum_total} differs from the running row sum {running}")
-        ledger.records.append(record)
 
     read_csv_rows(path, LEDGER_COLUMNS, add_row)
     return ledger

@@ -106,24 +106,27 @@ class FlopsLedger:
     def record_epoch(self, epoch: int, freeze: int, model: Sequence[LayerFlopsSpec], n_samples: int) -> None:
         """Charge one epoch: every group pays forward cost for N samples;
         neck and head always pay backward; the backbone pays backward only
-        when the epoch is unfrozen."""
-        if any(r.epoch == epoch for r in self.records):
-            raise ValueError(f"epoch {epoch} already recorded")
-        if freeze not in (0, 1):
-            raise ValueError(f"freeze signal must be 0 or 1, got {freeze!r}")
-        if n_samples < 0:
-            raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+        when the epoch is unfrozen. The record must pass append."""
         signature = _signature(model)
-        if self.model_signature is None:
-            self.model_signature = signature
-        elif signature != self.model_signature:
+        if self.model_signature not in (None, signature):
             raise ValueError("model spec does not match the one this ledger was built for")
-
         backbone = n_samples * sum(s.forward_flops_per_sample for s in model if s.group == "backbone")
         rest = n_samples * sum(s.forward_flops_per_sample for s in model if s.group != "backbone")
         bwd_backbone = BACKWARD_FORWARD_RATIO * backbone if freeze == BACKBONE_UNFROZEN else 0
-        self.records.append(EpochFlopsRecord(epoch, freeze, n_samples, backbone, bwd_backbone,
-                                             rest, BACKWARD_FORWARD_RATIO * rest))
+        self.append(EpochFlopsRecord(epoch, freeze, n_samples, backbone, bwd_backbone,
+                                     rest, BACKWARD_FORWARD_RATIO * rest))
+        self.model_signature = signature
+
+    def append(self, record: EpochFlopsRecord) -> None:
+        """Add one epoch's record: a new epoch, a 0/1 freeze flag and a
+        sample count >= 0, or a ValueError."""
+        if any(r.epoch == record.epoch for r in self.records):
+            raise ValueError(f"epoch {record.epoch} already recorded")
+        if record.frozen not in (0, 1):
+            raise ValueError(f"frozen must be 0 or 1, got {record.frozen!r}")
+        if record.n_samples < 0:
+            raise ValueError(f"n_samples must be >= 0, got {record.n_samples}")
+        self.records.append(record)
 
     def total_flops(self) -> int:
         return sum(r.total() for r in self.records)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "decode_predictions",
     "parameter_groups",
     "flops_specs",
+    "save_arrays",
     "save_checkpoint",
     "load_checkpoint",
     "restore_checkpoint",
@@ -573,13 +574,13 @@ def flops_specs(d: Detector) -> list[LayerFlopsSpec]:
 
 
 # --------------------------------------------------------------------------
-# checkpointing
+# checkpointing: one codec for parameter-id maps {'<layer_id>.<name>': array}
 #
 # Binary layout, little-endian, version 1:
 #   magic   4 bytes  b"FZCK"
 #   version u16      1
-#   count   u32      number of parameter entries
-# then per entry:
+#   count   u32      number of entries
+# then per entry, in the map's order:
 #   layer_id u32, name_len u16, name utf-8, ndim u8, dims u32 * ndim,
 #   values  f64 * prod(dims), row-major
 # Round-trips bit-exactly: values are dumped as raw float64.
@@ -588,28 +589,29 @@ _CKPT_MAGIC = b"FZCK"
 _CKPT_VERSION = 1
 
 
-def save_checkpoint(d: Detector, path, extra=()) -> None:
-    """Write the detector's parameters, then the (layer_id, name, array)
-    entries of `extra` in the same layout (a parked training state adds
-    its SGD velocity this way)."""
-    entries = []
-    for pid, tensor in d.parameters():
-        layer_id, name = pid.split(".", 1)
-        entries.append((int(layer_id), name, tensor.data))
-    entries.extend(extra)
+def save_arrays(arrays: Mapping[str, np.ndarray], path) -> None:
+    """Write a parameter-id map in the checkpoint layout."""
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<HI", _CKPT_VERSION, len(entries)))
-        for layer_id, name, arr in entries:
+        fh.write(struct.pack("<HI", _CKPT_VERSION, len(arrays)))
+        for pid, arr in arrays.items():
+            layer_id, name = pid.split(".", 1)
             raw_name = name.encode("utf-8")
-            fh.write(struct.pack("<IH", layer_id, len(raw_name)))
+            fh.write(struct.pack("<IH", int(layer_id), len(raw_name)))
             fh.write(raw_name)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> list[tuple[int, str, np.ndarray]]:
+def save_checkpoint(d: Detector, path) -> None:
+    """Write the detector's parameters, in parameters() order."""
+    save_arrays({pid: tensor.data for pid, tensor in d.parameters()}, path)
+
+
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The parameter-id map a checkpoint-layout file holds, in file order.
+    A malformed file raises one ValueError that names it."""
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     offset = 0
@@ -630,17 +632,19 @@ def load_checkpoint(path) -> list[tuple[int, str, np.ndarray]]:
     version, count = unpack("<HI", "header")
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    entries = []
+    arrays = {}
     for _ in range(count):
         layer_id, name_len = unpack("<IH", "entry header")
-        name = str(take(name_len, "name"), "utf-8")
+        pid = f"{layer_id}.{str(take(name_len, 'name'), 'utf-8')}"
         (ndim,) = unpack("<B", "ndim")
         shape = unpack(f"<{ndim}I", "dims")
-        values = np.frombuffer(take(8 * math.prod(shape), f"values of {name!r}"), dtype="<f8")
-        entries.append((layer_id, name, values.reshape(shape).astype(np.float64)))
+        values = np.frombuffer(take(8 * math.prod(shape), f"values of {pid!r}"), dtype="<f8")
+        if pid in arrays:
+            raise ValueError(f"{path} holds {pid!r} twice")
+        arrays[pid] = values.reshape(shape).astype(np.float64)
     if offset != len(blob):
         raise ValueError(f"{path} has {len(blob) - offset} trailing bytes after byte {offset}")
-    return entries
+    return arrays
 
 
 def restore_checkpoint(d: Detector, path) -> None:
@@ -649,8 +653,7 @@ def restore_checkpoint(d: Detector, path) -> None:
     The checkpoint must cover exactly the detector's parameter set with
     matching shapes; anything else is an error.
     """
-    entries = load_checkpoint(path)
-    by_id = {f"{layer_id}.{name}": values for layer_id, name, values in entries}
+    by_id = load_checkpoint(path)
     params = dict(d.parameters())
     if set(by_id) != set(params):
         missing = sorted(set(params) - set(by_id))

@@ -220,6 +220,17 @@ def test_grid_names_the_bad_part_of_seeds(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+def test_grid_names_the_bad_part_of_rhos(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path)
+    assert main([
+        "grid", "--config", str(cfg_path), "--rhos", "1,x",
+        "--out", str(tmp_path / "g"),
+    ]) == 1
+    assert capsys.readouterr().err == "error: --rhos takes positive integers or inf, got 'x'\n"
+    assert not (tmp_path / "g").exists()
+
+
 def test_grid_rejects_switch_outside_the_run(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _small_config_file(cfg_path, epochs=3)

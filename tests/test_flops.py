@@ -339,7 +339,8 @@ def _with_field(line, index, value):
     (lambda lines: [lines[0], _with_field(lines[1], 1, "7"), lines[2]], "line 2: frozen must be 0 or 1, got 7"),
     (lambda lines: [lines[0], lines[1], _with_field(lines[2], 7, "1")], "line 3: cum_total 1 differs"),
     (lambda lines: [lines[0], _with_field(lines[1], 3, "x"), lines[2]], "line 2: invalid literal"),
-], ids=["empty", "short-row", "frozen-7", "cum-total", "not-an-int"])
+    (lambda lines: [lines[0], _with_field(lines[1], 2, "-5"), lines[2]], "line 2: n_samples must be >= 0, got -5"),
+], ids=["empty", "short-row", "frozen-7", "cum-total", "not-an-int", "negative-samples"])
 def test_ledger_csv_rejects_malformed_files(tmp_path, mangle, message):
     path = tmp_path / "ledger.csv"
     write_ledger_csv(_run_ledger(_two_group_model(), [0, 1], 10), path)

@@ -24,6 +24,7 @@ from freezelab.experiment import (
     run_experiments,
     save_config,
 )
+from freezelab.model import parameter_groups, plan_detector
 from freezelab.schedule import ScheduleSpec, format_rho, phase_freeze_signal
 
 RUN_FILES = ("config.json", "curves.csv", "ledger.csv", "summary.csv", "checkpoint.bin")
@@ -91,6 +92,43 @@ def test_forked_grid_writes_the_bytes_of_independent_runs(tmp_path):
                     forked = forked.replace(str(tmp_path / "grid").encode(), b"ROOT")
                     alone = alone.replace(str(tmp_path / "alone").encode(), b"ROOT")
                 assert forked == alone, (seed, rho, name)
+
+
+def test_a_walk_that_forks_at_epoch_0_writes_the_bytes_of_independent_runs(tmp_path, monkeypatch):
+    # [inf:1] parts from the other two at epoch 0, before any step, so its
+    # parked velocity is empty; [2:inf, inf:1] parts from [inf:inf] at
+    # epoch 2 after two frozen epochs, so its parked velocity holds the
+    # neck and head only.
+    base = _base(epochs=5)
+    schedules = [ScheduleSpec([(math.inf, math.inf)]), ScheduleSpec([(2, math.inf), (math.inf, 1)]),
+                 ScheduleSpec([(math.inf, 1)])]
+    parked = []
+    real_park = experiment.TrainState.park
+
+    def park(self, path):
+        parked.append(set(self.optim.velocity))
+        return real_park(self, path)
+
+    def cfgs(root):
+        return [replace(base, schedule=spec, output_dir=str(tmp_path / root / str(i)))
+                for i, spec in enumerate(schedules)]
+
+    monkeypatch.setattr(experiment.TrainState, "park", park)
+    list(run_experiments([(cfg, None) for cfg in cfgs("forked")]))
+    monkeypatch.undo()
+    backbone = set(parameter_groups(plan_detector(base.arch))["backbone"])
+    assert len(parked) == 2 and parked[0] == set()
+    assert parked[1] and not parked[1] & backbone
+    for cfg in cfgs("alone"):
+        run_experiment(cfg)
+    for i in range(len(schedules)):
+        for name in RUN_FILES:
+            forked = (tmp_path / "forked" / str(i) / name).read_bytes()
+            alone = (tmp_path / "alone" / str(i) / name).read_bytes()
+            if name == "config.json":  # differs only by output_dir
+                forked = forked.replace(str(tmp_path / "forked").encode(), b"ROOT")
+                alone = alone.replace(str(tmp_path / "alone").encode(), b"ROOT")
+            assert forked == alone, (i, name)
 
 
 def test_grid_trains_each_distinct_freeze_prefix_once(tmp_path, monkeypatch):

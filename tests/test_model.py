@@ -26,6 +26,7 @@ from freezelab.model import (
     load_checkpoint,
     parameter_groups,
     restore_checkpoint,
+    save_arrays,
     save_checkpoint,
 )
 
@@ -590,11 +591,22 @@ def test_checkpoint_entries_expose_layout(tmp_path):
     d = build_detector(_tiny_arch(), init_seed=0)
     path = tmp_path / "model.bin"
     save_checkpoint(d, path)
-    entries = load_checkpoint(path)
-    assert [(layer_id, name) for layer_id, name, _ in entries] == [
-        (0, "weight"), (0, "bias"), (3, "weight"), (3, "bias"),
-    ]
-    assert entries[0][2].shape == (2, 1, 3, 3)
+    arrays = load_checkpoint(path)
+    assert list(arrays) == ["0.weight", "0.bias", "3.weight", "3.bias"]
+    assert arrays["0.weight"].shape == (2, 1, 3, 3)
+
+
+def test_save_arrays_round_trips_any_parameter_id_map_in_order(tmp_path):
+    rng = np.random.default_rng(0)
+    arrays = {"7.bias": rng.normal(size=3), "2.weight": rng.normal(size=(2, 4)), "0.b.x": np.zeros(())}
+    path = tmp_path / "arrays.bin"
+    save_arrays(arrays, path)
+    loaded = load_checkpoint(path)
+    assert list(loaded) == list(arrays)
+    for pid, values in arrays.items():
+        assert loaded[pid].shape == values.shape and loaded[pid].tobytes() == values.tobytes(), pid
+    save_arrays({}, path)
+    assert load_checkpoint(path) == {}
 
 
 def test_checkpoint_rejects_wrong_parameter_set(tmp_path):
@@ -646,6 +658,12 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     newer.write_bytes(raw[:4] + struct.pack("<H", 2) + raw[6:])
     with pytest.raises(ValueError, match=re.escape(f"{newer}: unsupported checkpoint version 2")):
         load_checkpoint(newer)
+
+    twice = tmp_path / "twice.bin"
+    save_arrays({"0.weight": np.ones(2), "1.weight": np.ones(2)}, twice)
+    twice.write_bytes(twice.read_bytes().replace(struct.pack("<IH", 1, 6), struct.pack("<IH", 0, 6)))
+    with pytest.raises(ValueError, match=re.escape(f"{twice} holds '0.weight' twice")):
+        load_checkpoint(twice)
 
 
 @pytest.mark.parametrize("cut", [8, 20, 100, -3])

@@ -2,8 +2,11 @@
 sibling's private (underscore) name, only `experiment` reads or writes
 CSV, `flops` does no file I/O, the backbone runs off the tape only in
 `model.backbone_features`, a ledger record has the fields of a
-`ledger.csv` row, and the one process-wide setting (the heap policy,
-the only use of `ctypes`) is made in `experiment.run_experiments`."""
+`ledger.csv` row, the one process-wide setting (the heap policy, the
+only use of `ctypes`) is made in `experiment.run_experiments`, and the
+binary layout has one home: only `model` imports `struct`, and a
+checkpoint-codec file is read back only by `model.restore_checkpoint`
+and by `TrainState.resume`."""
 
 import ast
 from dataclasses import fields
@@ -96,3 +99,11 @@ def test_the_heap_policy_is_the_one_process_setting_and_run_experiments_makes_it
                for name in ("mallopt", "_hold_heap")}
     assert callers == {"mallopt": {("experiment", "_hold_heap")},
                        "_hold_heap": {("experiment", "run_experiments")}}
+
+
+def test_the_binary_layout_lives_in_model_and_two_functions_read_it():
+    assert [module for module in MODULES
+            if any(src == "struct" for src, _ in _imports(_tree(module)))] == ["model"]
+    callers = sorted((module, function) for module in MODULES
+                     for function in _calls_by_function(_tree(module), "load_checkpoint"))
+    assert callers == [("experiment", "resume"), ("model", "restore_checkpoint")]
