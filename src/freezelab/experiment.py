@@ -55,9 +55,9 @@ from .schedule import (
     LrConfig,
     ScheduleSpec,
     format_rho,
+    freeze_signals,
     lr_at,
     parse_rho,
-    phase_freeze_signal,
 )
 
 __all__ = [
@@ -257,7 +257,6 @@ class EpochRecord:
 @dataclass
 class RunResult:
     records: list
-    report: EvalReport
     ledger: FlopsLedger
     detector: Detector
     config: ExperimentConfig
@@ -367,32 +366,25 @@ def train_epoch(
 
 
 def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: int,
-                      cache: Optional[RunCache] = None) -> EvalReport:
+                      cache: RunCache) -> EvalReport:
     """mAP@50 of the detector over `scenes`. Runs outside any tape, so
     nothing is recorded and no FLOPs are charged. The backbone outputs
-    come from `cache.val` when it is filled, which must then hold one row
-    per scene; otherwise they are computed up front, and stored there when
-    a cache for these scenes is given."""
-    stored = cache.val if cache is not None else None
-    if stored is not None and len(stored) != len(scenes):
-        raise ValueError(f"cache holds {len(stored)} val scenes, got {len(scenes)}")
-    features = stored if stored is not None else _backbone_outputs(detector, scenes, batch_size)
-    if cache is not None:
-        cache.val = features
+    come from `cache.val`, which must hold one row per scene; an empty
+    store is filled up front."""
+    if cache.val is None:
+        cache.val = _backbone_outputs(detector, scenes, batch_size)
+    elif len(cache.val) != len(scenes):
+        raise ValueError(f"cache holds {len(cache.val)} val scenes, got {len(scenes)}")
     detections = []
     ground_truths = []
     image_size = detector.input_shape[1]
     for lo in range(0, len(scenes), batch_size):
         chunk = scenes[lo : lo + batch_size]
-        pred = detector_forward(detector, None, 1, features=Tensor(features[lo : lo + batch_size]))
+        pred = detector_forward(detector, None, 1, features=Tensor(cache.val[lo : lo + batch_size]))
         detections.extend(decode_predictions(pred, [s.index for s in chunk], image_size))
         for s in chunk:
             ground_truths.extend(s.ground_truths)
     return map50(detections, ground_truths)
-
-
-def _freeze_signals(cfg: ExperimentConfig) -> tuple:
-    return tuple(phase_freeze_signal(epoch, cfg.schedule) for epoch in range(cfg.total_epochs))
 
 
 def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
@@ -400,7 +392,7 @@ def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
     epoch charged for n_train samples under the schedule's freeze signal."""
     specs = flops_specs(plan_detector(cfg.arch))
     ledger = FlopsLedger(specs)
-    for epoch, freeze in enumerate(_freeze_signals(cfg)):
+    for epoch, freeze in enumerate(freeze_signals(cfg.schedule, cfg.total_epochs)):
         ledger.record_epoch(epoch, freeze, specs, cfg.n_train)
     return ledger
 
@@ -409,8 +401,7 @@ def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
 class TrainState:
     """Everything a run carries from one epoch to the next: the detector,
     its SGD state, the ledger and epoch records so far, the next global
-    iteration, the RunCache, and the last evaluation (None before the
-    first).
+    iteration, and the RunCache.
 
     The learning rate and the batch order depend only on the iteration,
     the epoch and the seed, so two runs of one config whose freeze signals
@@ -424,15 +415,12 @@ class TrainState:
     records: list
     iteration: int
     cache: RunCache
-    report: Optional[EvalReport] = None
 
     def park(self, path) -> tuple:
         """Set this state aside to resume later, as (path, ledger, records,
         iteration): the parameters go to `path` and the velocity to
         `path + ".velocity"`, both in the checkpoint codec, and the rest is
-        copied. The feature stores and the last evaluation are not kept: a
-        resumed branch trains through the run's last epoch, which
-        evaluates whenever there are val scenes."""
+        copied. The feature stores are not kept."""
         save_checkpoint(self.detector, path)
         save_arrays(self.optim.velocity, path + ".velocity")
         return path, copy.deepcopy(self.ledger), list(self.records), self.iteration
@@ -518,7 +506,7 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
         planned = plan_ledger(cfg)
         for baseline in baselines:
             delta_flops(planned, baseline)
-    signals = [_freeze_signals(c) for c, _ in runs]
+    signals = [freeze_signals(c.schedule, c.total_epochs) for c, _ in runs]
 
     _hold_heap()
     train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
@@ -546,9 +534,8 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
                 )
                 val_map = None
                 if val_scenes and ((epoch + 1) % cfg.eval_every == 0 or epoch == cfg.total_epochs - 1):
-                    state.report = evaluate_detector(detector, val_scenes, cfg.sgd.batch_size,
-                                                     cache=state.cache)
-                    val_map = state.report.map50
+                    val_map = evaluate_detector(detector, val_scenes, cfg.sgd.batch_size,
+                                                cache=state.cache).map50
                 state.records.append(EpochRecord(
                     epoch=epoch,
                     frozen=freeze,
@@ -563,14 +550,11 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
 def _finish_leaf(state: TrainState, runs) -> list:
     """The results of `runs`, which share the finished `state`, with
     their run directories written; then the feature stores go."""
-    report = state.report
-    if report is None:  # n_val = 0: no evaluation ever ran
-        report = EvalReport(map50=0.0, per_class_ap={}, n_detections=0, n_ground_truth=0)
     results = []
     for cfg, baseline in runs:
-        result = RunResult(records=state.records, report=report, ledger=state.ledger,
+        result = RunResult(records=state.records, ledger=state.ledger,
                            detector=state.detector, config=cfg,
-                           summary=summarize_run(cfg, report.map50, state.ledger, baseline))
+                           summary=summarize_run(cfg, state.records, state.ledger, baseline))
         if cfg.output_dir is not None:
             write_run_dir(result)
         results.append(result)
@@ -586,14 +570,16 @@ def run_experiment(cfg: ExperimentConfig, baseline_ledger: Optional[FlopsLedger]
     return result
 
 
-def summarize_run(cfg: ExperimentConfig, final_map50: float, ledger: FlopsLedger,
+def summarize_run(cfg: ExperimentConfig, records: Sequence[EpochRecord], ledger: FlopsLedger,
                   baseline_ledger: Optional[FlopsLedger] = None) -> dict:
-    """The one summary.csv row, keyed by SUMMARY_COLUMNS. The delta is
-    None (NA on disk) without a baseline ledger."""
+    """The one summary.csv row, keyed by SUMMARY_COLUMNS. The final mAP@50
+    is that of the last evaluated epoch record, or 0.0 when no epoch was
+    evaluated (no val scenes). The delta is None (NA on disk) without a
+    baseline ledger."""
     return {
         "schedule": cfg.schedule.describe(),
         "total_epochs": cfg.total_epochs,
-        "final_map50": final_map50,
+        "final_map50": next((r.val_map50 for r in reversed(records) if r.val_map50 is not None), 0.0),
         "total_flops": ledger.total_flops(),
         "delta_flops_vs_baseline": None if baseline_ledger is None else delta_flops(ledger, baseline_ledger),
         "estimated_minutes": estimate_training_time(cfg.time_model, cfg.schedule, cfg.total_epochs),
@@ -773,7 +759,6 @@ def rebuild_summary(run_dir, baseline_dir) -> dict:
     records = read_curves_csv(os.path.join(run_dir, "curves.csv"))
     ledger = read_ledger_csv(os.path.join(run_dir, "ledger.csv"))
     baseline = read_ledger_csv(os.path.join(baseline_dir, "ledger.csv"))
-    final_map = next((r.val_map50 for r in reversed(records) if r.val_map50 is not None), 0.0)
-    summary = summarize_run(cfg, final_map, ledger, baseline)
+    summary = summarize_run(cfg, records, ledger, baseline)
     write_summary_csv(summary, os.path.join(run_dir, "summary.csv"))
     return summary

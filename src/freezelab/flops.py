@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .schedule import ScheduleSpec, phase_freeze_signal, BACKBONE_UNFROZEN
+from .schedule import ScheduleSpec, freeze_signals, BACKBONE_UNFROZEN
 
 __all__ = [
     "GROUPS",
@@ -178,9 +178,6 @@ def estimate_training_time(tm: TimeModel, spec: ScheduleSpec, total_epochs: int)
     if total_epochs < 1:
         raise ValueError(f"total_epochs must be >= 1, got {total_epochs}")
     minutes = 0.0
-    for epoch in range(total_epochs):
-        if phase_freeze_signal(epoch, spec) == BACKBONE_UNFROZEN:
-            minutes += tm.minutes_unfrozen
-        else:
-            minutes += tm.minutes_frozen
+    for freeze in freeze_signals(spec, total_epochs):
+        minutes += tm.minutes_unfrozen if freeze == BACKBONE_UNFROZEN else tm.minutes_frozen
     return minutes

@@ -63,6 +63,13 @@ class ShapeChainError(ValueError):
     """Adjacent layers in an architecture disagree about shapes."""
 
 
+def _positive_int(value, what: str) -> int:
+    """`value` if it is an int >= 1; anything else, a bool too, raises."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 class Layer:
     """One architectural unit: kind, hyperparameters, and named parameters.
 
@@ -83,34 +90,16 @@ class Layer:
         for key in spec:
             if key not in _SPEC_KEYS[kind]:
                 raise ValueError(f"{kind} layer {layer_id} does not take {key!r}")
-        in_features, out_features = spec.get("in_features"), spec.get("out_features")
-        in_channels, out_channels = spec.get("in_channels"), spec.get("out_channels")
-        kernel, stride = spec.get("kernel"), spec.get("stride")
+        if "stride" in _SPEC_KEYS[kind] and spec.get("stride") is None:  # conv slides by one, pools tile
+            spec["stride"] = 1 if kind == "conv2d" else spec.get("kernel")
         self.kind = kind
         self.layer_id = int(layer_id)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
+        self.in_features = self.out_features = self.in_channels = self.out_channels = None
+        self.kernel = self.stride = None
+        for key in _SPEC_KEYS[kind]:
+            setattr(self, key, _positive_int(spec.get(key), f"{kind} layer {layer_id} {key}"))
         self.params: dict[str, Tensor] = {}
         self.input_shape: Optional[tuple[int, ...]] = None
-
-        if kind == "dense":
-            if not (isinstance(in_features, int) and in_features >= 1
-                    and isinstance(out_features, int) and out_features >= 1):
-                raise ValueError(f"dense layer {layer_id} needs positive in_features/out_features")
-        elif kind in ("conv2d", "maxpool2d"):
-            if kind == "conv2d" and not (isinstance(in_channels, int) and in_channels >= 1
-                                         and isinstance(out_channels, int) and out_channels >= 1):
-                raise ValueError(f"conv2d layer {layer_id} needs positive channel counts")
-            if not (isinstance(kernel, int) and kernel >= 1):
-                raise ValueError(f"{kind} layer {layer_id} needs a positive kernel")
-            if stride is None:  # conv slides by one, pooling windows tile
-                self.stride = 1 if kind == "conv2d" else kernel
-            if not (isinstance(self.stride, int) and self.stride >= 1):
-                raise ValueError(f"{kind} layer {layer_id} needs a positive stride")
 
     def describe(self) -> str:
         if self.kind == "dense":
@@ -267,13 +256,12 @@ def plan_detector(arch_config: dict) -> Detector:
     if missing:
         raise ValueError(f"arch config is missing keys: {sorted(missing)}")
 
-    input_shape = tuple(int(s) for s in arch_config["input_shape"])
-    grid_size = int(arch_config["grid_size"])
-    num_classes = int(arch_config["num_classes"])
-    if grid_size < 1 or num_classes < 1:
-        raise ValueError("grid_size and num_classes must be >= 1")
+    input_shape = tuple(arch_config["input_shape"])
     if len(input_shape) != 3:
         raise ValueError(f"input_shape must be [channels, H, W], got {input_shape}")
+    input_shape = tuple(_positive_int(s, f"input_shape[{i}]") for i, s in enumerate(input_shape))
+    grid_size = _positive_int(arch_config["grid_size"], "grid_size")
+    num_classes = _positive_int(arch_config["num_classes"], "num_classes")
 
     groups = {}
     next_id = 0
@@ -456,12 +444,8 @@ def detection_loss(pred: PredictionGrid, targets: np.ndarray) -> Tensor:
         grad = np.zeros_like(data)
         grad[..., 0] = gs * (_sigmoid(obj_logit) - obj_target) / n_cells
         if n_pos > 0:
-            grad_cls = np.zeros_like(data[..., 1 : 1 + c])
-            grad_cls[pos] = gs * (softmax - onehot) / n_pos
-            grad[..., 1 : 1 + c] = grad_cls
-            grad_box = np.zeros_like(data[..., 1 + c :])
-            grad_box[pos] = gs * 2.0 * (box - box_t) / (4.0 * n_pos)
-            grad[..., 1 + c :] = grad_box
+            grad[..., 1 : 1 + c][pos] = gs * (softmax - onehot) / n_pos
+            grad[..., 1 + c :][pos] = gs * 2.0 * (box - box_t) / (4.0 * n_pos)
         return (grad,)
 
     return ad.record_external("detection_loss", np.asarray(bce + ce + se), (pred.tensor,), bwd)

@@ -20,6 +20,7 @@ __all__ = [
     "LrConfig",
     "step_freeze_signal",
     "phase_freeze_signal",
+    "freeze_signals",
     "lr_at",
     "parse_rho",
     "format_rho",
@@ -122,6 +123,12 @@ def step_freeze_signal(epoch: int, rho: Rho) -> int:
 def phase_freeze_signal(epoch: int, spec: ScheduleSpec) -> int:
     """Freeze signal under a phased schedule: pick the phase, then step."""
     return step_freeze_signal(epoch, spec.rho_at(epoch))
+
+
+def freeze_signals(spec: ScheduleSpec, total_epochs: int) -> tuple:
+    """The freeze signal of every epoch of a `total_epochs` run, in order:
+    the one expansion of a schedule that runs, ledgers and estimates use."""
+    return tuple(phase_freeze_signal(epoch, spec) for epoch in range(total_epochs))
 
 
 @dataclass(frozen=True)

@@ -272,12 +272,22 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
      "input_shape must be [channels, H, W], got (3, 32)"),
     (json.dumps({"arch": {**default_desk_arch(), "grid_size": 3}}),
      "head output shape (128,) cannot form a 3x3 grid"),
+    (json.dumps({"arch": {**default_desk_arch(), "grid_size": 4.7}}),
+     "grid_size must be a positive integer, got 4.7"),
+    (json.dumps({"arch": {**default_desk_arch(), "num_classes": "3"}}),
+     "num_classes must be a positive integer, got '3'"),
+    (json.dumps({"arch": {**default_desk_arch(), "input_shape": [3, 32, 32.9]}}),
+     "input_shape[2] must be a positive integer, got 32.9"),
+    (json.dumps({"arch": {**default_desk_arch(), "backbone": [
+        {"kind": "conv2d", "in_channels": 3, "out_channels": 8, "kernel": 3, "stride": True}]}}),
+     "conv2d layer 0 stride must be a positive integer, got True"),
     ('{"scene": {"channels": 1}}', "scene images of shape [1, 32, 32] do not fit the arch's input_shape [3, 32, 32]"),
     ('{"scene": {"image_size": 16}}', "scene images of shape [3, 16, 16] do not fit the arch's input_shape [3, 32, 32]"),
     ('{"scene": {"num_classes": 5}}', "scene.num_classes 5 exceeds the arch's num_classes 3"),
 ], ids=["list", "truncated", "scene-int", "unknown-key", "seed-str", "epochs-float", "arch-int",
         "n-train-bool", "lr-str", "rho-float", "end-float", "output-dir-int",
-        "arch-input-2d", "arch-grid-3", "scene-channels", "scene-size", "scene-classes"])
+        "arch-input-2d", "arch-grid-3", "arch-grid-float", "arch-classes-str", "arch-input-float",
+        "arch-stride-bool", "scene-channels", "scene-size", "scene-classes"])
 def test_run_rejects_a_bad_config_with_one_error_naming_the_file(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -12,7 +12,6 @@ import pytest
 from freezelab import experiment
 from freezelab.autodiff import Tape, Tensor, backward
 from freezelab.data import SceneConfig, generate_dataset
-from freezelab.evaluation import EvalReport
 from freezelab.experiment import (
     CONFIG_VERSION,
     CURVES_COLUMNS,
@@ -90,7 +89,7 @@ def test_rerun_reproduces_every_record():
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert a.records == b.records
-    assert a.report.map50 == b.report.map50
+    assert a.summary == b.summary
     assert _all_params_bytes(a.detector) == _all_params_bytes(b.detector)
     assert a.ledger.total_flops() == b.ledger.total_flops()
 
@@ -244,14 +243,14 @@ def test_eval_cadence_and_final_epoch():
     run = run_experiment(cfg)
     have_eval = [r.val_map50 is not None for r in run.records]
     assert have_eval == [False, True, False, True, True]
-    assert run.report.map50 == run.records[-1].val_map50
+    assert run.summary["final_map50"] == run.records[-1].val_map50
 
 
 def test_no_validation_set_reports_zero():
     cfg = _small_config([(math.inf, 1)], epochs=2, n_val=0)
     run = run_experiment(cfg)
     assert all(r.val_map50 is None for r in run.records)
-    assert run.report == EvalReport(map50=0.0, per_class_ap={}, n_detections=0, n_ground_truth=0)
+    assert run.summary["final_map50"] == 0.0
 
 
 def test_train_epoch_rejects_empty_scenes():
@@ -489,7 +488,7 @@ def test_summary_with_baseline_has_exact_delta(tmp_path):
     base_cfg = _small_config([(math.inf, 1)], epochs=4, n_val=0)
     run = run_experiment(cfg)
     base = run_experiment(base_cfg)
-    write_summary_csv(summarize_run(cfg, run.report.map50, run.ledger, base.ledger), tmp_path / "summary.csv")
+    write_summary_csv(summarize_run(cfg, run.records, run.ledger, base.ledger), tmp_path / "summary.csv")
     summary = read_summary_csv(tmp_path / "summary.csv")
     assert summary["delta_flops_vs_baseline"] == delta_flops(run.ledger, base.ledger)
     assert summary["delta_flops_vs_baseline"] < 0
@@ -508,7 +507,7 @@ def test_run_dir_holds_all_artifacts(tmp_path):
     assert load_config(out / "config.json") == cfg
     assert read_curves_csv(out / "curves.csv") == run.records
     assert read_ledger_csv(out / "ledger.csv").total_flops() == run.ledger.total_flops()
-    assert read_summary_csv(out / "summary.csv")["final_map50"] == run.report.map50
+    assert read_summary_csv(out / "summary.csv")["final_map50"] == run.records[-1].val_map50
 
     fresh = build_detector(cfg.arch, init_seed=99)
     restore_checkpoint(fresh, out / "checkpoint.bin")
@@ -531,16 +530,17 @@ def test_write_run_dir_requires_output_dir():
         write_run_dir(run)
 
 
-def test_rebuild_summary_fills_delta_after_the_fact(tmp_path):
+@pytest.mark.parametrize("n_val", [0, 8])
+def test_rebuild_summary_fills_delta_after_the_fact(tmp_path, n_val):
     run_dir, base_dir = str(tmp_path / "frozen"), str(tmp_path / "active")
     cfg = default_config(
-        seed=0, total_epochs=4, eval_every=2, n_train=16, n_val=8,
+        seed=0, total_epochs=4, eval_every=2, n_train=16, n_val=n_val,
         scene=SceneConfig(seed=0),
         schedule=ScheduleSpec([(math.inf, math.inf)]),
         output_dir=run_dir,
     )
     base_cfg = default_config(
-        seed=0, total_epochs=4, eval_every=2, n_train=16, n_val=8,
+        seed=0, total_epochs=4, eval_every=2, n_train=16, n_val=n_val,
         scene=SceneConfig(seed=0),
         schedule=ScheduleSpec([(math.inf, 1)]),
         output_dir=base_dir,
@@ -551,11 +551,9 @@ def test_rebuild_summary_fills_delta_after_the_fact(tmp_path):
     before = read_summary_csv(f"{run_dir}/summary.csv")
     assert before["delta_flops_vs_baseline"] is None
 
-    rebuild_summary(run_dir, base_dir)
-    after = read_summary_csv(f"{run_dir}/summary.csv")
-    assert after["delta_flops_vs_baseline"] == delta_flops(run.ledger, base.ledger)
-    assert after["final_map50"] == run.records[-1].val_map50
-    assert after["total_flops"] == before["total_flops"]
+    rebuilt = rebuild_summary(run_dir, base_dir)
+    assert rebuilt == {**run.summary, "delta_flops_vs_baseline": delta_flops(run.ledger, base.ledger)}
+    assert read_summary_csv(f"{run_dir}/summary.csv") == rebuilt
 
 
 @pytest.mark.parametrize("writer", ["write_ledger_csv", "save_checkpoint"])

@@ -116,8 +116,9 @@ def _uncached_run(cfg) -> RunResult:
         records.append(EpochRecord(epoch=epoch, frozen=freeze, mean_loss=float(np.mean(losses)),
                                    lr=lr, cum_flops=ledger.cumulative_totals()[-1],
                                    val_map50=val_map))
-    return RunResult(records=records, report=report, ledger=ledger, detector=detector, config=cfg,
-                     summary=summarize_run(cfg, report.map50, ledger))
+    summary = summarize_run(cfg, records, ledger)
+    assert summary["final_map50"] == report.map50
+    return RunResult(records=records, ledger=ledger, detector=detector, config=cfg, summary=summary)
 
 
 def _files(run_dir) -> dict:

@@ -6,7 +6,9 @@ CSV, `flops` does no file I/O, the backbone runs off the tape only in
 only use of `ctypes`) is made in `experiment.run_experiments`, and the
 binary layout has one home: only `model` imports `struct`, and a
 checkpoint-codec file is read back only by `model.restore_checkpoint`
-and by `TrainState.resume`."""
+and by `TrainState.resume`. A schedule is expanded into per-epoch freeze
+signals only by `schedule.freeze_signals`, and an evaluation report is
+made only by `evaluation.map50`."""
 
 import ast
 from dataclasses import fields
@@ -107,3 +109,13 @@ def test_the_binary_layout_lives_in_model_and_two_functions_read_it():
     callers = sorted((module, function) for module in MODULES
                      for function in _calls_by_function(_tree(module), "load_checkpoint"))
     assert callers == [("experiment", "resume"), ("model", "restore_checkpoint")]
+
+
+@pytest.mark.parametrize("name,home", [
+    ("phase_freeze_signal", ("schedule", "freeze_signals")),
+    ("EvalReport", ("evaluation", "map50")),
+])
+def test_a_schedule_expands_in_one_place_and_one_function_makes_a_report(name, home):
+    callers = [(module, function) for module in MODULES
+               for function in _calls_by_function(_tree(module), name)]
+    assert callers == [home]
