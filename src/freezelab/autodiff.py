@@ -238,8 +238,9 @@ def _taps(kh: int, kw: int, ho: int, wo: int, stride: int):
             yield i, j, slice(i, i + (ho - 1) * stride + 1, stride), slice(j, j + (wo - 1) * stride + 1, stride)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int = 1) -> Tensor:
-    """Valid (unpadded) 2-D convolution of [B,C,H,W] with [OC,IC,KH,KW].
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
+    """Valid (unpadded) 2-D convolution of [B,C,H,W] with [OC,IC,KH,KW],
+    plus a per-channel bias of shape [OC].
 
     One small matrix product per kernel tap (KH*KW of them), summed in tap
     order: each output, input-gradient and weight-gradient element is a
@@ -259,7 +260,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
         raise ValueError(f"conv2d: kernel must be >= 1, got {kh}x{kw}")
     if h < kh or w < kw:
         raise ShapeMismatchError(f"conv2d: input {x.shape} smaller than kernel {weight.shape}")
-    if bias is not None and bias.shape != (oc,):
+    if bias.shape != (oc,):
         raise ShapeMismatchError(f"conv2d: bias shape {bias.shape} does not match out channels ({oc},)")
 
     ho, wo = conv_out_hw(h, w, kh, kw, stride)
@@ -274,12 +275,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
     for i, j, rows, cols in _taps(kh, kw, ho, wo, stride):
         acc += wt[i, j] @ xc[:, :, rows, cols].reshape(ic, n)
     out = np.ascontiguousarray(acc.reshape(oc, b_, ho, wo).transpose(1, 0, 2, 3))
-    if bias is not None:
-        out += bias.data[None, :, None, None]
+    out += bias.data[None, :, None, None]
 
-    has_bias = bias is not None
-    need_x, need_w = x.requires_grad, weight.requires_grad
-    need_b = has_bias and bias.requires_grad
+    need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
 
     def bwd(g):
         gx = gw = None
@@ -295,12 +293,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
             xt = np.ascontiguousarray(xd.transpose(0, 2, 3, 1))
             for i, j, rows, cols in _taps(kh, kw, ho, wo, stride):
                 gw[:, :, i, j] = gc @ xt[:, rows, cols, :].reshape(n, ic)
-        if has_bias:
-            return gx, gw, (g.sum(axis=(0, 2, 3)) if need_b else None)
-        return gx, gw
+        return gx, gw, (g.sum(axis=(0, 2, 3)) if need_b else None)
 
-    inputs = (x, weight, bias) if has_bias else (x, weight)
-    return record_external("conv2d", out, inputs, bwd)
+    return record_external("conv2d", out, (x, weight, bias), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -311,13 +306,12 @@ def relu(x: Tensor) -> Tensor:
     return record_external("relu", np.maximum(x.data, 0.0), (x,), bwd)
 
 
-def maxpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
+def maxpool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
     """Max pooling over [B,C,H,W]; gradient goes to the first maximal
     element (row-major scan) of each window, so ties break deterministically.
     A NaN in a window makes its max NaN."""
     if not isinstance(kernel, int) or kernel < 1:
         raise ValueError(f"maxpool2d: kernel must be a positive integer, got {kernel!r}")
-    stride = kernel if stride is None else stride
     if not isinstance(stride, int) or stride < 1:
         raise ValueError(f"maxpool2d: stride must be a positive integer, got {stride!r}")
     if x.data.ndim != 4:

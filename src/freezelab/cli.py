@@ -42,7 +42,7 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
     if cfg.output_dir is None:
-        raise SystemExit("error: config has no output_dir and --out was not given")
+        raise ValueError("config has no output_dir and --out was not given")
     baseline = read_ledger_csv(args.baseline) if args.baseline else None
     summary = run_experiment(cfg, baseline_ledger=baseline).summary
     print(f"run complete: {cfg.output_dir}")
@@ -83,7 +83,7 @@ def _cmd_grid(args) -> int:
     base = load_config(args.config)
     out_root = args.out if args.out is not None else base.output_dir
     if out_root is None:
-        raise SystemExit("error: config has no output_dir and --out was not given")
+        raise ValueError("config has no output_dir and --out was not given")
     rhos = _parse_list(args.rhos, "--rhos", parse_rho, "positive integers or inf")
     if 1 not in rhos:
         rhos.insert(0, 1)  # the full-training baseline anchors every delta
@@ -91,9 +91,7 @@ def _cmd_grid(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int, "integers")
     switch = args.switch
     if not (0 < switch < base.total_epochs):
-        raise SystemExit(
-            f"error: --switch must fall inside (0, total_epochs={base.total_epochs}), got {switch}"
-        )
+        raise ValueError(f"--switch must fall inside (0, total_epochs={base.total_epochs}), got {switch}")
 
     rows = []
     per_rho_delta_map: dict = {rho: [] for rho in rhos if rho != 1}
@@ -197,11 +195,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        raise
     except Exception as exc:  # surface one diagnostic line, fail nonzero
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -171,11 +171,14 @@ _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (di
 def _check_kinds(raw: dict, defaults, prefix: str = "") -> None:
     """Every int, float, dict or None-default field in `raw` must have the
     kind of its value in `defaults` (an int passes for a float; a bool is
-    not a number; a None default stands for an optional string)."""
+    not a number; a None default stands for an optional string), and a
+    number must be finite (JSON readers take NaN and Infinity)."""
     for key, value in raw.items():
         kind = _KINDS.get(type(getattr(defaults, key)))
         if kind is not None and (isinstance(value, bool) or not isinstance(value, kind[0])):
             raise ValueError(f"config key {prefix + key!r} must be {kind[1]}, got {type(value).__name__}")
+        if kind is _KINDS[float] and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key {prefix + key!r} must be a finite number, got {value}")
 
 
 def _build_section(cls, raw, section: str, **defaults):

@@ -619,7 +619,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     arrays = {}
     for _ in range(count):
         layer_id, name_len = unpack("<IH", "entry header")
-        pid = f"{layer_id}.{str(take(name_len, 'name'), 'utf-8')}"
+        name = take(name_len, "name")
+        try:
+            pid = f"{layer_id}.{str(name, 'utf-8')}"
+        except UnicodeDecodeError:
+            raise ValueError(f"{path} has an entry name at byte {offset - name_len} that is not UTF-8") from None
         (ndim,) = unpack("<B", "ndim")
         shape = unpack(f"<{ndim}I", "dims")
         values = np.frombuffer(take(8 * math.prod(shape), f"values of {pid!r}"), dtype="<f8")

@@ -89,13 +89,9 @@ def sgd_step(
         # In place, per element in the order g + wd*p, m*v + step, p - lr*v.
         step = np.multiply(p.data, cfg.weight_decay)
         step += g.data
-        if cfg.momentum != 0.0:
-            v = state.velocity.get(key)
-            if v is None:
-                v = state.velocity[key] = np.zeros_like(p.data)
-            v *= cfg.momentum
-            v += step
-            p.data -= np.multiply(v, lr, out=step)
-        else:
-            state.velocity[key] = step
-            p.data -= lr * step
+        v = state.velocity.get(key)
+        if v is None:
+            v = state.velocity[key] = np.zeros_like(p.data)
+        v *= cfg.momentum
+        v += step
+        p.data -= np.multiply(v, lr, out=step)

@@ -55,8 +55,8 @@ def _positive_or_inf(value, what: str) -> Rho:
 
 
 def parse_rho(text) -> Rho:
-    """Parse a rho value from config/CLI text; 'inf' and None mean infinity."""
-    return math.inf if text is None else _positive_or_inf(text, "rho")
+    """Parse a rho value from config/CLI text; 'inf' means infinity."""
+    return _positive_or_inf(text, "rho")
 
 
 def format_rho(rho: Rho) -> str:

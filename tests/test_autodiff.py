@@ -41,7 +41,7 @@ def test_relu_values():
 def test_conv2d_all_ones():
     x = Tensor(np.ones((1, 1, 3, 3)))
     k = Tensor(np.ones((1, 1, 2, 2)))
-    out = ad.conv2d(x, k, stride=1)
+    out = ad.conv2d(x, k, bias=Tensor(np.zeros(1)), stride=1)
     assert out.shape == (1, 1, 2, 2)
     assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
@@ -258,7 +258,7 @@ def test_primitive_gradients_match_finite_differences(trial, kind):
 def test_maxpool_tie_routes_to_first_element():
     x = Tensor(np.array([[[[2.0, 2.0], [2.0, 2.0]]]]), requires_grad=True)
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.maxpool2d(x, kernel=2))
+        loss = ad.reduce_sum(ad.maxpool2d(x, kernel=2, stride=2))
     grads = backward(loss, tape)
     expected = np.zeros((1, 1, 2, 2))
     expected[0, 0, 0, 0] = 1.0
@@ -323,7 +323,7 @@ def test_inactive_operands_get_no_adjoint():
         x = Tensor(image, requires_grad=inputs_require_grad)
         f = Tensor(features, requires_grad=inputs_require_grad)
         with Tape() as tape:
-            conv = ad.conv2d(x, w, bias=b)
+            conv = ad.conv2d(x, w, bias=b, stride=1)
             dense = ad.matmul(f if inputs_require_grad else detach(f), head)
             loss = ad.add(scalar_loss(conv), scalar_loss(dense))
         adjoints = {out: tape.nodes[out.node_id].backward_fn(np.ones(out.shape)) for out in (conv, dense)}

@@ -238,14 +238,22 @@ def test_grid_rejects_switch_outside_the_run(tmp_path, capsys):
         "grid", "--config", str(cfg_path), "--rhos", "2",
         "--out", str(tmp_path / "g"), "--switch", "3",
     ]) == 1
-    assert "--switch" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --switch must fall inside (0, total_epochs=3), got 3\n"
+    assert not (tmp_path / "g").exists()
 
 
 def test_run_needs_an_output_directory(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _small_config_file(cfg_path)
     assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "output_dir" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config has no output_dir and --out was not given\n"
+
+
+def test_grid_needs_an_output_directory(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path)
+    assert main(["grid", "--config", str(cfg_path), "--rhos", "2"]) == 1
+    assert capsys.readouterr().err == "error: config has no output_dir and --out was not given\n"
 
 
 def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
@@ -267,6 +275,12 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     ('{"lr": {"base_lr": "0.1"}}', "config key 'lr.base_lr' must be a number, got str"),
     ('{"schedule": [[2, "1"], ["inf", 2.5]]}', "rho must be a positive integer or inf, got 2.5"),
     ('{"schedule": [[2.5, "1"], ["inf", "2"]]}', "phase end epoch must be a positive integer or inf, got 2.5"),
+    ('{"schedule": [["inf", null]]}', "rho must be a positive integer or inf, got None"),
+    ('{"sgd": {"clip_max_norm": NaN}}', "config key 'sgd.clip_max_norm' must be a finite number, got nan"),
+    ('{"lr": {"base_lr": Infinity}}', "config key 'lr.base_lr' must be a finite number, got inf"),
+    ('{"scene": {"noise_std": NaN}}', "config key 'scene.noise_std' must be a finite number, got nan"),
+    ('{"time_model": {"minutes_frozen": -Infinity}}',
+     "config key 'time_model.minutes_frozen' must be a finite number, got -inf"),
     ('{"output_dir": 5}', "config key 'output_dir' must be a string or null, got int"),
     (json.dumps({"arch": {**default_desk_arch(), "input_shape": [3, 32]}}),
      "input_shape must be [channels, H, W], got (3, 32)"),
@@ -285,7 +299,8 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     ('{"scene": {"image_size": 16}}', "scene images of shape [3, 16, 16] do not fit the arch's input_shape [3, 32, 32]"),
     ('{"scene": {"num_classes": 5}}', "scene.num_classes 5 exceeds the arch's num_classes 3"),
 ], ids=["list", "truncated", "scene-int", "unknown-key", "seed-str", "epochs-float", "arch-int",
-        "n-train-bool", "lr-str", "rho-float", "end-float", "output-dir-int",
+        "n-train-bool", "lr-str", "rho-float", "end-float", "rho-null", "clip-nan", "lr-inf",
+        "noise-nan", "time-minus-inf", "output-dir-int",
         "arch-input-2d", "arch-grid-3", "arch-grid-float", "arch-classes-str", "arch-input-float",
         "arch-stride-bool", "scene-channels", "scene-size", "scene-classes"])
 def test_run_rejects_a_bad_config_with_one_error_naming_the_file(tmp_path, capsys, text, message):

@@ -123,7 +123,7 @@ def test_maxpool2d_off_the_tape_returns_the_on_tape_values(kernel, stride, value
 def test_signed_zero_ties_keep_the_first_tap():
     x = np.array([[[[-0.0, 0.0, 0.0, -0.0], [-1.0, -1.0, -1.0, -1.0]]]])
     with Tape() as tape:
-        out = ad.maxpool2d(Tensor(x, requires_grad=True), kernel=2)
+        out = ad.maxpool2d(Tensor(x, requires_grad=True), kernel=2, stride=2)
     (gx,) = tape.nodes[out.node_id].backward_fn(np.array([[[[5.0, 7.0]]]]))
     assert np.signbit(out.data).tolist() == [[[[True, False]]]]
     assert gx.tolist() == [[[[5.0, 0.0, 7.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]]

@@ -665,6 +665,12 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{twice} holds '0.weight' twice")):
         load_checkpoint(twice)
 
+    latin = tmp_path / "latin.bin"
+    save_arrays({"0.w\u00e9ight": np.ones(2)}, latin)
+    latin.write_bytes(latin.read_bytes().replace("\u00e9".encode(), b"\xff\xff"))
+    with pytest.raises(ValueError, match=re.escape(f"{latin} has an entry name at byte 16 that is not UTF-8")):
+        load_checkpoint(latin)
+
 
 @pytest.mark.parametrize("cut", [8, 20, 100, -3])
 def test_truncated_checkpoint_names_file_and_offset(tmp_path, cut):

@@ -149,11 +149,10 @@ def test_parse_and_format_rho():
     assert parse_rho(5) == 5
     assert parse_rho("inf") == math.inf
     assert parse_rho("Infinity") == math.inf
-    assert parse_rho(None) == math.inf
     assert parse_rho(math.inf) == math.inf
     assert format_rho(5) == "5"
     assert format_rho(math.inf) == "inf"
-    for text in ("0", "-3", "abc", 2.5, 2.0, True, "2.5"):
+    for text in ("0", "-3", "abc", 2.5, 2.0, True, "2.5", None):
         with pytest.raises(ValueError, match="rho must be a positive integer or inf"):
             parse_rho(text)
 

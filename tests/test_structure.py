@@ -8,7 +8,11 @@ binary layout has one home: only `model` imports `struct`, and a
 checkpoint-codec file is read back only by `model.restore_checkpoint`
 and by `TrainState.resume`. A schedule is expanded into per-epoch freeze
 signals only by `schedule.freeze_signals`, and an evaluation report is
-made only by `evaluation.map50`."""
+made only by `evaluation.map50`. `autodiff.conv2d` and
+`autodiff.maxpool2d` declare no parameter defaults, so `model.Layer` is
+the one place a stride is filled. No module raises or catches
+`SystemExit`: the CLI reports every error through one `except` in
+`cli.main`."""
 
 import ast
 from dataclasses import fields
@@ -119,3 +123,15 @@ def test_a_schedule_expands_in_one_place_and_one_function_makes_a_report(name, h
     callers = [(module, function) for module in MODULES
                for function in _calls_by_function(_tree(module), name)]
     assert callers == [home]
+
+
+@pytest.mark.parametrize("name", ["conv2d", "maxpool2d"])
+def test_the_window_primitives_declare_no_defaults(name):
+    (function,) = [node for node in _tree("autodiff").body
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert function.args.defaults == [] and function.args.kw_defaults == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_raises_or_catches_system_exit(module):
+    assert not any(isinstance(node, ast.Name) and node.id == "SystemExit" for node in ast.walk(_tree(module)))
