@@ -20,7 +20,7 @@ from dataclasses import replace
 from typing import Callable
 
 from .experiment import (
-    default_config,
+    ExperimentConfig,
     load_config,
     plan_ledger,
     read_ledger_csv,
@@ -154,7 +154,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_init_config(args) -> int:
-    save_config(default_config(), args.path)
+    save_config(ExperimentConfig(), args.path)
     print(f"wrote default config: {args.path}")
     return 0
 

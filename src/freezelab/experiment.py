@@ -122,23 +122,17 @@ class ExperimentConfig:
             raise ValueError(f"n_val must be >= 0, got {self.n_val}")
         if self.scene.seed != self.seed:
             raise ValueError("scene seed must equal the experiment seed (one seed drives the whole run)")
+        arch = plan_detector(self.arch)
+        images = (self.scene.channels, self.scene.image_size, self.scene.image_size)
+        if images != arch.input_shape:
+            raise ValueError(f"scene images of shape {list(images)} do not fit the arch's "
+                             f"input_shape {list(arch.input_shape)}")
+        if self.scene.num_classes > arch.num_classes:
+            raise ValueError(f"scene.num_classes {self.scene.num_classes} exceeds the arch's "
+                             f"num_classes {arch.num_classes}")
 
 
-def default_config(**overrides) -> ExperimentConfig:
-    """Desk-scale defaults: 16 epochs over 256/64 scenes, short warmup.
-
-    The published schedule constants (500-iteration warmup to a third of
-    the base rate, decay by 1/4 after epoch 12) are the LrConfig defaults;
-    a 16-epoch desk run is only 512 iterations, so this config shortens
-    the warmup and raises the base rate to reach a trained detector in
-    minutes. Pass overrides to change any field.
-    """
-    base = dict(
-        lr=LrConfig(base_lr=0.05, warmup_iters=50, warmup_end_fraction=1.0 / 3.0,
-                    decay_epoch=12, decay_factor=0.25),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+default_config = ExperimentConfig
 
 
 # --------------------------------------------------------------------------
@@ -192,11 +186,11 @@ def _build_section(cls, raw, section: str, **defaults):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """The config a JSON document describes. Its arch must chain (see
-    plan_detector) and take the scenes its scene section makes."""
+    """The config a JSON document describes. A key it leaves out takes
+    its ExperimentConfig default at every level (a scene seed, the seed)."""
     raw = dict(raw)
     version = raw.pop("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version!r} (this build reads version {CONFIG_VERSION})")
 
     unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
@@ -211,17 +205,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             kwargs[section] = _build_section(cls, raw[section], section)
     if "schedule" in raw:
         kwargs["schedule"] = _schedule_from_json(raw["schedule"])
-    cfg = ExperimentConfig(**kwargs)
-    arch = plan_detector(cfg.arch)
-    scene = cfg.scene
-    images = (scene.channels, scene.image_size, scene.image_size)
-    if images != arch.input_shape:
-        raise ValueError(f"scene images of shape {list(images)} do not fit the arch's "
-                         f"input_shape {list(arch.input_shape)}")
-    if scene.num_classes > arch.num_classes:
-        raise ValueError(f"scene.num_classes {scene.num_classes} exceeds the arch's "
-                         f"num_classes {arch.num_classes}")
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -625,26 +609,33 @@ def write_table(path, columns: Sequence[str], rows) -> None:
 def read_csv_rows(path, columns: Sequence[str], convert: Callable[[list], object]) -> list:
     """`convert(row)` for every data row of a CSV file headed by `columns`.
 
-    An empty file, a foreign header, a row of the wrong width, or a row
-    that `convert` rejects with a ValueError all raise one ValueError that
-    names the file (and the line, for row faults).
+    An empty file, a foreign header, a byte that is not UTF-8, a row the
+    csv module rejects, a row of the wrong width, or a row that `convert`
+    rejects with a ValueError all raise one ValueError that names the file
+    (and the line, for row faults; the text layer decodes in chunks, so a
+    decode fault has no line).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path} is empty; expected the header {','.join(columns)}")
-        if tuple(header) != tuple(columns):
-            raise ValueError(f"unexpected header in {path}: {header}")
-        out = []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(columns):
-                raise ValueError(f"{where}: expected {len(columns)} fields, got {len(row)}")
-            try:
-                out.append(convert(row))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path} is empty; expected the header {','.join(columns)}")
+            if tuple(header) != tuple(columns):
+                raise ValueError(f"unexpected header in {path}: {header}")
+            out = []
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(columns):
+                    raise ValueError(f"{where}: expected {len(columns)} fields, got {len(row)}")
+                try:
+                    out.append(convert(row))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return out
 
 

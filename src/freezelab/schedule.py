@@ -138,10 +138,13 @@ class LrConfig:
     Warmup ramps from (nearly) zero to warmup_end_fraction of base_lr over
     the first warmup_iters iterations; afterwards the rate is base_lr.
     Epochs strictly greater than decay_epoch are scaled by decay_factor.
+
+    The defaults are the desk rate, for a 512-iteration desk run; the
+    published schedule warms up over 500 iterations to a base of 0.005.
     """
 
-    base_lr: float = 0.005
-    warmup_iters: int = 500
+    base_lr: float = 0.05
+    warmup_iters: int = 50
     warmup_end_fraction: float = 1.0 / 3.0
     decay_epoch: int = 12
     decay_factor: float = 0.25

@@ -136,6 +136,24 @@ def test_report_refuses_a_run_directory_without_checkpoint(tmp_path, capsys, inc
     assert (dirs["run"] / "summary.csv").read_bytes() == summary
 
 
+def test_report_names_a_curves_file_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path, epochs=1)
+    run_out, base_out = tmp_path / "run", tmp_path / "base"
+    assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+    shutil.copytree(run_out, base_out)
+    curves = run_out / "curves.csv"
+    curves.write_bytes(curves.read_bytes() + b"\xff\n")
+    summary = (run_out / "summary.csv").read_bytes()
+
+    capsys.readouterr()
+    assert main(["report", "--run", str(run_out), "--baseline", str(base_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {curves}: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+    assert (run_out / "summary.csv").read_bytes() == summary
+
+
 def test_grid_sweeps_and_aggregates(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _small_config_file(cfg_path, epochs=4)
@@ -298,11 +316,14 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     ('{"scene": {"channels": 1}}', "scene images of shape [1, 32, 32] do not fit the arch's input_shape [3, 32, 32]"),
     ('{"scene": {"image_size": 16}}', "scene images of shape [3, 16, 16] do not fit the arch's input_shape [3, 32, 32]"),
     ('{"scene": {"num_classes": 5}}', "scene.num_classes 5 exceeds the arch's num_classes 3"),
+    ('{"version": true}', "unsupported config version True (this build reads version 1)"),
+    ('{"version": 1.0}', "unsupported config version 1.0 (this build reads version 1)"),
 ], ids=["list", "truncated", "scene-int", "unknown-key", "seed-str", "epochs-float", "arch-int",
         "n-train-bool", "lr-str", "rho-float", "end-float", "rho-null", "clip-nan", "lr-inf",
         "noise-nan", "time-minus-inf", "output-dir-int",
         "arch-input-2d", "arch-grid-3", "arch-grid-float", "arch-classes-str", "arch-input-float",
-        "arch-stride-bool", "scene-channels", "scene-size", "scene-classes"])
+        "arch-stride-bool", "scene-channels", "scene-size", "scene-classes", "version-bool",
+        "version-float"])
 def test_run_rejects_a_bad_config_with_one_error_naming_the_file(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -399,6 +399,27 @@ def test_config_rejects_malformed_schedule_phase():
         config_from_dict(raw)
 
 
+def test_a_key_a_config_leaves_out_takes_the_init_config_value(tmp_path):
+    assert default_config is ExperimentConfig and ExperimentConfig().lr == LrConfig()
+    assert config_from_dict({}) == default_config()
+    lr = config_from_dict({"lr": {"base_lr": 0.1}}).lr
+    assert lr.base_lr == 0.1 and lr.warmup_iters == 50
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_train": 1024, "n_val": 1024}')
+    assert load_config(path) == default_config(n_train=1024, n_val=1024)
+
+
+def test_a_config_made_in_python_is_checked_as_a_loaded_one(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scene": {"image_size": 16}}')
+    with pytest.raises(ValueError) as loaded:
+        load_config(path)
+    with pytest.raises(ValueError) as made:
+        default_config(scene=SceneConfig(image_size=16))
+    assert str(loaded.value) == f"{path}: {made.value}"
+    assert "scene images of shape [3, 16, 16] do not fit" in str(made.value)
+
+
 def test_scene_seed_must_match_run_seed():
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=0, scene=SceneConfig(seed=1))

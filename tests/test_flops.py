@@ -1,6 +1,7 @@
 """FLOP accounting tests: per-layer counts, the epoch ledger, cost deltas,
 the period-scaling law, and the epoch-time estimator."""
 
+import csv
 import math
 from fractions import Fraction
 
@@ -340,12 +341,18 @@ def _with_field(line, index, value):
     (lambda lines: [lines[0], lines[1], _with_field(lines[2], 7, "1")], "line 3: cum_total 1 differs"),
     (lambda lines: [lines[0], _with_field(lines[1], 3, "x"), lines[2]], "line 2: invalid literal"),
     (lambda lines: [lines[0], _with_field(lines[1], 2, "-5"), lines[2]], "line 2: n_samples must be >= 0, got -5"),
-], ids=["empty", "short-row", "frozen-7", "cum-total", "not-an-int", "negative-samples"])
+    (lambda lines: [lines[0], _with_field(lines[1], 3, "\udcff"), lines[2]],
+     ": 'utf-8' codec can't decode byte 0xff"),
+    (lambda lines: [lines[0], _with_field(lines[1], 3, "9" * (csv.field_size_limit() + 1)), lines[2]],
+     "line 2: field larger than field limit"),
+], ids=["empty", "short-row", "frozen-7", "cum-total", "not-an-int", "negative-samples", "not-utf8",
+        "field-over-limit"])
 def test_ledger_csv_rejects_malformed_files(tmp_path, mangle, message):
     path = tmp_path / "ledger.csv"
     write_ledger_csv(_run_ledger(_two_group_model(), [0, 1], 10), path)
     lines = mangle(path.read_text().splitlines())
-    path.write_text("".join(line + "\n" for line in lines))
+    # a lone surrogate escape stands for the one raw byte it encodes
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError) as exc:
         read_ledger_csv(path)
     assert str(path) in str(exc.value) and message in str(exc.value)

@@ -167,19 +167,19 @@ def test_rho_round_trips_through_text():
 
 
 def test_first_iteration_rate():
-    cfg = LrConfig()
+    cfg = LrConfig(base_lr=0.005, warmup_iters=500)
     expected = 0.005 * (1.0 / 3.0) * 1 / 500
     assert lr_at(0, 0, cfg) == pytest.approx(expected, rel=1e-12)
     assert lr_at(0, 0, cfg) == pytest.approx(3.333e-6, rel=1e-3)
 
 
 def test_post_warmup_rate_is_base():
-    cfg = LrConfig()
+    cfg = LrConfig(base_lr=0.005, warmup_iters=500)
     assert lr_at(500, 1, cfg) == 0.005
 
 
 def test_decayed_rate():
-    cfg = LrConfig()
+    cfg = LrConfig(base_lr=0.005, warmup_iters=500)
     assert lr_at(10**6, 13, cfg) == 0.005 * 0.25
     assert lr_at(10**6, 12, cfg) == 0.005  # decay applies strictly after
     assert lr_at(10**6, 12 + 1, cfg) == 0.00125

@@ -12,7 +12,9 @@ made only by `evaluation.map50`. `autodiff.conv2d` and
 `autodiff.maxpool2d` declare no parameter defaults, so `model.Layer` is
 the one place a stride is filled. No module raises or catches
 `SystemExit`: the CLI reports every error through one `except` in
-`cli.main`."""
+`cli.main`. A config is checked whole where it is made: in `experiment`,
+only `ExperimentConfig.__post_init__` and `plan_ledger` call
+`plan_detector`."""
 
 import ast
 from dataclasses import fields
@@ -135,3 +137,10 @@ def test_the_window_primitives_declare_no_defaults(name):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_raises_or_catches_system_exit(module):
     assert not any(isinstance(node, ast.Name) and node.id == "SystemExit" for node in ast.walk(_tree(module)))
+
+
+def test_a_config_is_checked_where_it_is_made():
+    tree = _tree("experiment")
+    assert sorted(_calls_by_function(tree, "plan_detector")) == ["__post_init__", "plan_ledger"]
+    (config,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"]
+    assert _calls_by_function(config, "plan_detector") == ["__post_init__"]
