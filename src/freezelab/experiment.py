@@ -16,7 +16,6 @@ format; the checkpoint's binary layout lives in model.
 
 from __future__ import annotations
 
-import copy
 import csv
 import ctypes
 import json
@@ -144,13 +143,9 @@ def _schedule_to_json(spec: ScheduleSpec) -> list:
 
 
 def _schedule_from_json(raw) -> ScheduleSpec:
-    phases = []
-    for item in raw:
-        if len(item) != 2:
-            raise ValueError(f"schedule phase must be [end_epoch, rho], got {item!r}")
-        end, rho = item
-        phases.append((end, parse_rho(rho)))
-    return ScheduleSpec(phases)
+    if not isinstance(raw, list) or not all(isinstance(item, list) and len(item) == 2 for item in raw):
+        raise ValueError(f"config key 'schedule' must be a list of [end_epoch, rho] pairs, got {raw!r}")
+    return ScheduleSpec([(end, parse_rho(rho)) for end, rho in raw])
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -257,11 +252,13 @@ class RunCache:
     `targets` holds every train scene's encoded target grid for the whole
     run. `train` and `val` hold every train and val scene's detached
     backbone output, or None while not filled; they are valid only while
-    the backbone has not moved since they were filled. train_epoch drops
-    them at the start of every unfrozen epoch, the one place the backbone
-    moves. A frozen epoch that finds `train` empty fills it before its
-    first step, an evaluation that finds `val` empty fills it, and every
-    frozen step and evaluation reads its rows from there. The rows are
+    the backbone has not moved since they were filled. Both are emptied
+    where the backbone moves: train_epoch drops them at the start of every
+    unfrozen epoch, and TrainState.resume before it reads a parked
+    branch's parameters back. A frozen epoch that finds `train` empty
+    fills it before its first step, an evaluation that finds `val` empty
+    fills it, and every frozen step and evaluation reads its rows from
+    there. The rows are
     bit-identical to a recomputation in any batch composition, so the
     stores change no output byte.
     """
@@ -297,29 +294,25 @@ def train_epoch(
     epoch: int,
     freeze: int,
     state: OptimState,
-    ledger: FlopsLedger,
     *,
     lr_cfg: LrConfig,
     sgd_cfg: SgdConfig,
     seed: int,
-    iteration_start: int,
-    cache: Optional[RunCache] = None,
-) -> tuple[float, float, int]:
-    """One pass over `scenes` in a per-epoch shuffled order.
+    cache: RunCache,
+) -> tuple[float, float]:
+    """One pass over `scenes` in a per-epoch shuffled order, reading and
+    filling `cache`, the run's RunCache for these scenes.
 
     Per batch: forward under the freeze signal, loss, backward, global
-    clip, SGD step at lr_at(iteration). Records the epoch in the ledger
-    under the same freeze flag. Returns (mean of per-batch losses, last
-    learning rate used, next global iteration index).
-
-    `cache` is the run's RunCache for these scenes; without one the epoch
-    builds its own and nothing carries over to the next epoch.
+    clip, SGD step at lr_at(iteration). Every epoch has the same number
+    of batches, so the epoch's first global iteration is epoch times that
+    number. Returns (mean of per-batch losses, last learning rate used).
+    The epoch's FLOPs are not recorded here: a run's ledger is planned
+    from its config (plan_ledger).
     """
     if not scenes:
         raise ValueError("cannot train on an empty scene list")
-    if cache is None:
-        cache = RunCache(detector, scenes)
-    elif len(cache.targets) != len(scenes):
+    if len(cache.targets) != len(scenes):
         raise ValueError(f"cache holds {len(cache.targets)} scenes, got {len(scenes)}")
     if not freeze:
         cache.drop()
@@ -329,10 +322,10 @@ def train_epoch(
     params = dict(detector.parameters())
     key_of = detector.grad_key_table()
 
-    iteration = iteration_start
+    first = epoch * math.ceil(len(scenes) / sgd_cfg.batch_size)
     losses = []
     lr = None
-    for lo in range(0, len(order), sgd_cfg.batch_size):
+    for iteration, lo in enumerate(range(0, len(order), sgd_cfg.batch_size), start=first):
         rows = order[lo : lo + sgd_cfg.batch_size]
         with Tape() as tape:
             if freeze:
@@ -346,10 +339,7 @@ def train_epoch(
         lr = lr_at(iteration, epoch, lr_cfg)
         sgd_step(params, grads, state, lr, sgd_cfg)
         losses.append(loss.item())
-        iteration += 1
-
-    ledger.record_epoch(epoch, freeze, flops_specs(detector), len(scenes))
-    return float(np.mean(losses)), lr, iteration
+    return float(np.mean(losses)), lr
 
 
 def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: int,
@@ -386,36 +376,38 @@ def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
 
 @dataclass
 class TrainState:
-    """Everything a run carries from one epoch to the next: the detector,
-    its SGD state, the ledger and epoch records so far, the next global
-    iteration, and the RunCache.
+    """What training changes from one epoch to the next: the detector, its
+    SGD state and the epoch records so far; and the RunCache.
 
-    The learning rate and the batch order depend only on the iteration,
-    the epoch and the seed, so two runs of one config whose freeze signals
-    agree up to an epoch have equal states there (run_experiments trains
-    such a prefix once).
+    Nothing else is carried, because the rest follows from these and the
+    config: the next epoch is len(records), its first global iteration
+    follows from the epoch (see train_epoch), and the run's ledger is
+    plan_ledger(cfg). The learning rate and the batch order depend only on
+    the iteration, the epoch and the seed, so two runs of one config whose
+    freeze signals agree up to an epoch have equal states there
+    (run_experiments trains such a prefix once).
     """
 
     detector: Detector
     optim: OptimState
-    ledger: FlopsLedger
     records: list
-    iteration: int
     cache: RunCache
 
     def park(self, path) -> tuple:
-        """Set this state aside to resume later, as (path, ledger, records,
-        iteration): the parameters go to `path` and the velocity to
-        `path + ".velocity"`, both in the checkpoint codec, and the rest is
-        copied. The feature stores are not kept."""
+        """Set this state aside to resume later, as (path, records): the
+        parameters go to `path` and the velocity to `path + ".velocity"`,
+        both in the checkpoint codec, and the records list is copied. The
+        feature stores are not kept."""
         save_checkpoint(self.detector, path)
         save_arrays(self.optim.velocity, path + ".velocity")
-        return path, copy.deepcopy(self.ledger), list(self.records), self.iteration
+        return path, list(self.records)
 
     def resume(self, parked: tuple) -> None:
         """Return to a parked state in place, and delete its files. The
+        feature stores are emptied first, since the backbone moves. The
         parameter file must fit the detector, as a run's checkpoint must."""
-        path, self.ledger, self.records, self.iteration = parked
+        self.cache.drop()
+        path, self.records = parked
         restore_checkpoint(self.detector, path)
         self.optim = OptimState(load_checkpoint(path + ".velocity"))
         os.remove(path)
@@ -463,18 +455,19 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     """Train runs that differ only in schedule and output_dir, each shared
     prefix of their freeze signals once, and yield each run's RunResult.
 
-    `runs` holds (config, baseline ledger or None) pairs; a baseline fills
-    that run's summary delta and must describe a run of the same shape,
-    which is checked before training. The walk goes depth first through
-    the trie of the runs' freeze-signal sequences. Where they part, the
-    runs whose next epoch is frozen go on from the live state and keep its
-    feature stores; the others, whose next epoch drops the stores anyway,
-    are parked (see TrainState.park) until that branch is done, in a
-    temporary directory that goes when the walk ends or raises. Runs with
-    one sequence share a leaf, which writes their run directories, drops
-    the stores, then yields their results: results come in the order the
-    walk finishes them. Every run directory holds the bytes an
-    independent run writes.
+    `runs` holds (config, baseline ledger or None) pairs. Each run's
+    ledger is planned from its config (plan_ledger) before training; a
+    baseline fills that run's summary delta and must describe a run of the
+    same shape, which is checked against the planned ledger. The walk goes
+    depth first through the trie of the runs' freeze-signal sequences.
+    Where they part, the runs whose next epoch is frozen go on from the
+    live state and keep its feature stores; the others, whose next epoch
+    drops the stores anyway, are parked (see TrainState.park) until that
+    branch is done, in a temporary directory that goes when the walk ends
+    or raises. Runs with one sequence share a leaf, which writes their run
+    directories, then yields their results: results come in the order the
+    walk finishes them. Every run directory holds the bytes an independent
+    run writes.
 
     The results share one Detector, which the walk moves on to the next
     branch: read a result's detector before asking for the next result.
@@ -488,18 +481,16 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     for other, _ in runs[1:]:
         if replace(other, schedule=cfg.schedule, output_dir=cfg.output_dir) != cfg:
             raise ValueError("runs trained together may differ only in schedule and output_dir")
-    baselines = [baseline for _, baseline in runs if baseline is not None]
-    if baselines:  # the runs' shape is known: reject a mismatch before training
-        planned = plan_ledger(cfg)
-        for baseline in baselines:
-            delta_flops(planned, baseline)
+    ledgers = [plan_ledger(c) for c, _ in runs]
+    for (_, baseline), ledger in zip(runs, ledgers):
+        if baseline is not None:  # reject a mismatch before training
+            delta_flops(ledger, baseline)
     signals = [freeze_signals(c.schedule, c.total_epochs) for c, _ in runs]
 
     _hold_heap()
     train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
-    state = TrainState(detector, OptimState(), FlopsLedger(flops_specs(detector)), [], 0,
-                       RunCache(detector, train_scenes))
+    state = TrainState(detector, OptimState(), [], RunCache(detector, train_scenes))
     with tempfile.TemporaryDirectory(prefix="freezelab-fork-") as fork_dir:
         branches = [(None, list(range(len(runs))))]  # (parked state, indices of its runs)
         while branches:
@@ -514,10 +505,9 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
                 freeze = signals[group[0]][epoch]
                 # Called through the module, in this positional order, so
                 # that a wrapper of experiment.train_epoch sees every epoch.
-                mean_loss, lr, state.iteration = train_epoch(
-                    detector, train_scenes, epoch, freeze, state.optim, state.ledger,
-                    lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, iteration_start=state.iteration,
-                    cache=state.cache,
+                mean_loss, lr = train_epoch(
+                    detector, train_scenes, epoch, freeze, state.optim,
+                    lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=state.cache,
                 )
                 val_map = None
                 if val_scenes and ((epoch + 1) % cfg.eval_every == 0 or epoch == cfg.total_epochs - 1):
@@ -528,24 +518,23 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
                     frozen=freeze,
                     mean_loss=mean_loss,
                     lr=lr,
-                    cum_flops=state.ledger.cumulative_totals()[-1],
+                    cum_flops=ledgers[group[0]].cumulative_totals()[epoch],
                     val_map50=val_map,
                 ))
-            yield from _finish_leaf(state, [runs[i] for i in group])
+            yield from _finish_leaf(state, [(*runs[i], ledgers[i]) for i in group])
 
 
 def _finish_leaf(state: TrainState, runs) -> list:
-    """The results of `runs`, which share the finished `state`, with
-    their run directories written; then the feature stores go."""
+    """The results of `runs`, (config, baseline, planned ledger) triples
+    that share the finished `state`, with their run directories written."""
     results = []
-    for cfg, baseline in runs:
-        result = RunResult(records=state.records, ledger=state.ledger,
+    for cfg, baseline, ledger in runs:
+        result = RunResult(records=state.records, ledger=ledger,
                            detector=state.detector, config=cfg,
-                           summary=summarize_run(cfg, state.records, state.ledger, baseline))
+                           summary=summarize_run(cfg, state.records, ledger, baseline))
         if cfg.output_dir is not None:
             write_run_dir(result)
         results.append(result)
-    state.cache.drop()
     return results
 
 

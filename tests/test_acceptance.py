@@ -23,6 +23,7 @@ from freezelab.cli import GRID_SUMMARY_COLUMNS, main
 from freezelab.data import SceneConfig, generate_dataset
 from freezelab.evaluation import BBox, Detection, GroundTruth, map50
 from freezelab.experiment import (
+    RunCache,
     default_config,
     read_curves_csv,
     run_experiment,
@@ -43,7 +44,6 @@ from freezelab.model import (
     detection_loss,
     detector_forward,
     encode_targets,
-    flops_specs,
     parameter_groups,
 )
 from freezelab.optim import OptimState, clip_gradients, sgd_step
@@ -325,17 +325,15 @@ def test_criterion_04_frozen_preservation():
     cfg = default_config()
     scenes, _ = generate_dataset(cfg.scene, 256, 0)
     detector = build_detector(cfg.arch, init_seed=0)
-    ledger = FlopsLedger(flops_specs(detector))
     state = OptimState()
 
     pattern = [0, 1, 1, 0]
     preserved, updated = 0, 0
-    iteration = 0
     for epoch, freeze in enumerate(pattern):
         before = _backbone_bytes(detector)
-        _, _, iteration = train_epoch(
-            detector, scenes, epoch, freeze, state, ledger,
-            lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, iteration_start=iteration,
+        train_epoch(
+            detector, scenes, epoch, freeze, state,
+            lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=RunCache(detector, scenes),
         )
         after = _backbone_bytes(detector)
         if freeze:

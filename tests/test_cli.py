@@ -294,6 +294,13 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     ('{"schedule": [[2, "1"], ["inf", 2.5]]}', "rho must be a positive integer or inf, got 2.5"),
     ('{"schedule": [[2.5, "1"], ["inf", "2"]]}', "phase end epoch must be a positive integer or inf, got 2.5"),
     ('{"schedule": [["inf", null]]}', "rho must be a positive integer or inf, got None"),
+    ('{"schedule": null}', "config key 'schedule' must be a list of [end_epoch, rho] pairs, got None"),
+    ('{"schedule": 5}', "config key 'schedule' must be a list of [end_epoch, rho] pairs, got 5"),
+    ('{"schedule": [5]}', "config key 'schedule' must be a list of [end_epoch, rho] pairs, got [5]"),
+    ('{"schedule": [[4, 1], ["inf", 2], 7]}',
+     "config key 'schedule' must be a list of [end_epoch, rho] pairs, got [[4, 1], ['inf', 2], 7]"),
+    ('{"schedule": {"a": 1}}', "config key 'schedule' must be a list of [end_epoch, rho] pairs, got {'a': 1}"),
+    ('{"schedule": ["i5"]}', "config key 'schedule' must be a list of [end_epoch, rho] pairs, got ['i5']"),
     ('{"sgd": {"clip_max_norm": NaN}}', "config key 'sgd.clip_max_norm' must be a finite number, got nan"),
     ('{"lr": {"base_lr": Infinity}}', "config key 'lr.base_lr' must be a finite number, got inf"),
     ('{"scene": {"noise_std": NaN}}', "config key 'scene.noise_std' must be a finite number, got nan"),
@@ -319,7 +326,8 @@ def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     ('{"version": true}', "unsupported config version True (this build reads version 1)"),
     ('{"version": 1.0}', "unsupported config version 1.0 (this build reads version 1)"),
 ], ids=["list", "truncated", "scene-int", "unknown-key", "seed-str", "epochs-float", "arch-int",
-        "n-train-bool", "lr-str", "rho-float", "end-float", "rho-null", "clip-nan", "lr-inf",
+        "n-train-bool", "lr-str", "rho-float", "end-float", "rho-null", "schedule-null", "schedule-int",
+        "schedule-flat", "schedule-phase-int", "schedule-object", "schedule-str", "clip-nan", "lr-inf",
         "noise-nan", "time-minus-inf", "output-dir-int",
         "arch-input-2d", "arch-grid-3", "arch-grid-float", "arch-classes-str", "arch-input-float",
         "arch-stride-bool", "scene-channels", "scene-size", "scene-classes", "version-bool",

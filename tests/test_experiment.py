@@ -18,11 +18,11 @@ from freezelab.experiment import (
     SUMMARY_COLUMNS,
     EpochRecord,
     ExperimentConfig,
+    RunCache,
     config_from_dict,
     config_to_dict,
     default_config,
     load_config,
-    plan_ledger,
     read_curves_csv,
     read_summary_csv,
     read_ledger_csv,
@@ -35,7 +35,7 @@ from freezelab.experiment import (
     write_run_dir,
     write_summary_csv,
 )
-from freezelab.flops import FlopsLedger, TimeModel, delta_flops, estimate_training_time
+from freezelab.flops import TimeModel, delta_flops, estimate_training_time
 from freezelab.model import (
     build_detector,
     decode_predictions,
@@ -98,17 +98,15 @@ def test_frozen_epoch_leaves_backbone_bytes_untouched():
     cfg = _small_config([(math.inf, 1)], epochs=1)
     scenes, _ = generate_dataset(cfg.scene, cfg.n_train, 0)
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
-    ledger = FlopsLedger(flops_specs(detector))
     state = OptimState()
 
     pattern = [0, 0, 1, 1, 0]
-    iteration = 0
     for epoch, freeze in enumerate(pattern):
         before_backbone = _group_checksum(detector, "backbone")
         before_head = _group_checksum(detector, "head")
-        _, _, iteration = train_epoch(
-            detector, scenes, epoch, freeze, state, ledger,
-            lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, iteration_start=iteration,
+        train_epoch(
+            detector, scenes, epoch, freeze, state,
+            lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=RunCache(detector, scenes),
         )
         after_backbone = _group_checksum(detector, "backbone")
         if freeze:
@@ -258,8 +256,8 @@ def test_train_epoch_rejects_empty_scenes():
     detector = build_detector(cfg.arch, init_seed=0)
     with pytest.raises(ValueError):
         train_epoch(
-            detector, [], 0, 0, OptimState(), FlopsLedger(flops_specs(detector)),
-            lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=0, iteration_start=0,
+            detector, [], 0, 0, OptimState(),
+            lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=0, cache=RunCache(detector, []),
         )
 
 
@@ -274,20 +272,6 @@ def test_recorded_lr_is_the_last_batch_rate():
 
 # --------------------------------------------------------------------------
 # config serialization
-
-
-@pytest.mark.parametrize("phases", [
-    [(math.inf, 1)],
-    [(2, 1), (math.inf, math.inf)],
-    [(1, 1), (math.inf, 2)],
-    [(3, 1), (math.inf, 5)],
-], ids=["full", "switch2-inf", "switch1-rho2", "switch3-rho5"])
-def test_planned_ledger_equals_the_trained_one(phases):
-    cfg = _small_config(phases, n_val=0)
-    planned = plan_ledger(cfg)
-    run = run_experiment(cfg)
-    assert planned.records == run.ledger.records
-    assert planned.model_signature == run.ledger.model_signature
 
 
 @pytest.mark.parametrize("phases", [
@@ -394,9 +378,12 @@ def test_config_rejects_other_versions():
 
 def test_config_rejects_malformed_schedule_phase():
     raw = config_to_dict(default_config())
-    raw["schedule"] = [[4, "1", "extra"]]
-    with pytest.raises(ValueError):
-        config_from_dict(raw)
+    for schedule in ([[4, "1", "extra"]], None, 5, [5], [[4, 1], ["inf", 2], 7], {"a": 1}, ["i5"]):
+        raw["schedule"] = schedule
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(raw)
+        assert str(exc.value) == ("config key 'schedule' must be a list of [end_epoch, rho] pairs, "
+                                  f"got {schedule!r}")
 
 
 def test_a_key_a_config_leaves_out_takes_the_init_config_value(tmp_path):

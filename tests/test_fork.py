@@ -16,15 +16,20 @@ import pytest
 
 from freezelab import experiment
 from freezelab.cli import main
-from freezelab.data import SceneConfig
+from freezelab.data import SceneConfig, generate_dataset
 from freezelab.experiment import (
+    RunCache,
+    TrainState,
     default_config,
+    evaluate_detector,
     plan_ledger,
     run_experiment,
     run_experiments,
     save_config,
+    train_epoch,
 )
-from freezelab.model import parameter_groups, plan_detector
+from freezelab.model import build_detector, parameter_groups, plan_detector
+from freezelab.optim import OptimState
 from freezelab.schedule import ScheduleSpec, format_rho, phase_freeze_signal
 
 RUN_FILES = ("config.json", "curves.csv", "ledger.csv", "summary.csv", "checkpoint.bin")
@@ -196,26 +201,50 @@ def test_a_failing_walk_leaves_no_parked_state_and_no_unfinished_run(tmp_path, m
         assert (run_dir / "checkpoint.bin").exists() == (format_rho(rho) in finished), rho
 
 
-def test_stores_are_dropped_before_a_leaf_yields(tmp_path, monkeypatch):
+def test_resume_empties_both_stores(tmp_path):
+    cfg = _base(epochs=2, n_train=8, n_val=4)
+    train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
+    detector = build_detector(cfg.arch, init_seed=cfg.seed)
+    state = TrainState(detector, OptimState(), [], RunCache(detector, train_scenes))
+    parked = state.park(str(tmp_path / "parked.bin"))
+    train_epoch(detector, train_scenes, 0, 1, state.optim,
+                lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=state.cache)
+    evaluate_detector(detector, val_scenes, cfg.sgd.batch_size, cache=state.cache)
+    assert state.cache.train is not None and state.cache.val is not None
+    state.resume(parked)
+    assert state.cache.train is None and state.cache.val is None
+    assert state.records == [] and list(tmp_path.iterdir()) == []
+
+
+def test_stores_are_dropped_before_a_parked_branch_resumes(tmp_path, monkeypatch):
     caches = []
+    emptied = []
 
     class Recorded(experiment.RunCache):
         def __init__(self, *args):
             super().__init__(*args)
             caches.append(self)
 
+    real_restore = experiment.restore_checkpoint
+
+    def restore(detector, path):
+        [cache] = caches
+        emptied.append(cache.train is None and cache.val is None)
+        return real_restore(detector, path)
+
     monkeypatch.setattr(experiment, "RunCache", Recorded)
+    monkeypatch.setattr(experiment, "restore_checkpoint", restore)
     base = _base()
     cfgs = [_grid_config(base, 0, rho, 4, tmp_path) for rho in RHOS]
     order = []
     for result in run_experiments([(cfg, None) for cfg in cfgs]):
-        [cache] = caches
-        assert cache.train is None and cache.val is None
         assert (tmp_path / "seed_0" / f"rho_{format_rho(result.config.schedule.rho_at(4))}"
                 / "checkpoint.bin").exists()
         order.append(format_rho(result.config.schedule.rho_at(4)))
-    # frozen-next branches first; rho=10 and rho=inf share the first leaf
+    # frozen-next branches first; rho=10 and rho=inf share the first leaf,
+    # whose frozen epochs leave both stores filled
     assert order == ["10", "inf", "5", "2", "1"]
+    assert emptied == [True, True, True]
 
 
 def test_runs_trained_together_may_differ_only_in_schedule_and_output_dir():

@@ -222,21 +222,18 @@ def test_train_epoch_drops_the_store_when_the_backbone_trains():
     cfg = _config(SCHEDULES["always-active"], n_val=0)
     scenes, _ = generate_dataset(cfg.scene, cfg.n_train, 0)
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
-    ledger = FlopsLedger(flops_specs(detector))
     state = OptimState()
     cache = RunCache(detector, scenes)
     kwargs = dict(lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=cache)
 
-    iteration = 0
     for epoch, freeze in enumerate((1, 1, 0)):
-        _, _, iteration = train_epoch(detector, scenes, epoch, freeze, state, ledger,
-                                      iteration_start=iteration, **kwargs)
+        train_epoch(detector, scenes, epoch, freeze, state, **kwargs)
         if freeze:
             assert cache.train.shape == (len(scenes),) + detector.feature_shape
         cache.val = np.zeros((1,) + detector.feature_shape)
     assert cache.train is None
     assert cache.val is not None
-    train_epoch(detector, scenes, 3, 0, state, ledger, iteration_start=iteration, **kwargs)
+    train_epoch(detector, scenes, 3, 0, state, **kwargs)
     assert cache.val is None
 
     expected = encode_targets([s.ground_truths for s in scenes], detector.grid_size,
@@ -249,9 +246,8 @@ def test_train_epoch_rejects_a_cache_of_other_scenes():
     scenes, _ = generate_dataset(cfg.scene, cfg.n_train, 0)
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
     with pytest.raises(ValueError, match="cache holds 19 scenes, got 20"):
-        train_epoch(detector, scenes, 0, 1, OptimState(), FlopsLedger(flops_specs(detector)),
-                    lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, iteration_start=0,
-                    cache=RunCache(detector, scenes[:-1]))
+        train_epoch(detector, scenes, 0, 1, OptimState(),
+                    lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=RunCache(detector, scenes[:-1]))
 
 
 def test_evaluate_detector_rejects_a_val_store_of_other_scenes():

@@ -14,7 +14,10 @@ the one place a stride is filled. No module raises or catches
 `SystemExit`: the CLI reports every error through one `except` in
 `cli.main`. A config is checked whole where it is made: in `experiment`,
 only `ExperimentConfig.__post_init__` and `plan_ledger` call
-`plan_detector`."""
+`plan_detector`. A run's ledger is planned from its config: only
+`experiment.plan_ledger` calls `record_epoch`, and only
+`experiment.train_epoch` calls `lr_at`, at iterations that follow
+from the epoch."""
 
 import ast
 from dataclasses import fields
@@ -122,6 +125,16 @@ def test_the_binary_layout_lives_in_model_and_two_functions_read_it():
     ("EvalReport", ("evaluation", "map50")),
 ])
 def test_a_schedule_expands_in_one_place_and_one_function_makes_a_report(name, home):
+    callers = [(module, function) for module in MODULES
+               for function in _calls_by_function(_tree(module), name)]
+    assert callers == [home]
+
+
+@pytest.mark.parametrize("name,home", [
+    ("record_epoch", ("experiment", "plan_ledger")),
+    ("lr_at", ("experiment", "train_epoch")),
+])
+def test_a_ledger_is_planned_in_one_place_and_one_function_reads_the_rate(name, home):
     callers = [(module, function) for module in MODULES
                for function in _calls_by_function(_tree(module), name)]
     assert callers == [home]
