@@ -130,6 +130,11 @@ class ExperimentConfig:
             raise ValueError(f"scene.num_classes {self.scene.num_classes} exceeds the arch's "
                              f"num_classes {arch.num_classes}")
 
+    def evaluates(self, epoch: int) -> bool:
+        """The evaluation cadence: a run scores val mAP@50 after every
+        eval_every-th epoch and after its last, when it has val scenes."""
+        return self.n_val > 0 and ((epoch + 1) % self.eval_every == 0 or epoch == self.total_epochs - 1)
+
 
 default_config = ExperimentConfig
 
@@ -459,7 +464,7 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     ledger is planned from its config (plan_ledger) before training; a
     baseline fills that run's summary delta and must describe a run of the
     same shape, which is checked against the planned ledger. The walk goes
-    depth first through the trie of the runs' freeze-signal sequences.
+    depth first through the trie of the runs' planned freeze flags.
     Where they part, the runs whose next epoch is frozen go on from the
     live state and keep its feature stores; the others, whose next epoch
     drops the stores anyway, are parked (see TrainState.park) until that
@@ -485,7 +490,7 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     for (_, baseline), ledger in zip(runs, ledgers):
         if baseline is not None:  # reject a mismatch before training
             delta_flops(ledger, baseline)
-    signals = [freeze_signals(c.schedule, c.total_epochs) for c, _ in runs]
+    running = [ledger.cumulative_totals() for ledger in ledgers]
 
     _hold_heap()
     train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
@@ -498,29 +503,21 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
             if parked is not None:
                 state.resume(parked)
             for epoch in range(len(state.records), cfg.total_epochs):
-                unfrozen = [i for i in group if not signals[i][epoch]]
+                unfrozen = [i for i in group if not ledgers[i].records[epoch].frozen]
                 if 0 < len(unfrozen) < len(group):
                     branches.append((state.park(os.path.join(fork_dir, f"{len(branches)}.bin")), unfrozen))
-                    group = [i for i in group if signals[i][epoch]]
-                freeze = signals[group[0]][epoch]
+                    group = [i for i in group if ledgers[i].records[epoch].frozen]
+                freeze = ledgers[group[0]].records[epoch].frozen
                 # Called through the module, in this positional order, so
                 # that a wrapper of experiment.train_epoch sees every epoch.
                 mean_loss, lr = train_epoch(
                     detector, train_scenes, epoch, freeze, state.optim,
                     lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=state.cache,
                 )
-                val_map = None
-                if val_scenes and ((epoch + 1) % cfg.eval_every == 0 or epoch == cfg.total_epochs - 1):
-                    val_map = evaluate_detector(detector, val_scenes, cfg.sgd.batch_size,
-                                                cache=state.cache).map50
-                state.records.append(EpochRecord(
-                    epoch=epoch,
-                    frozen=freeze,
-                    mean_loss=mean_loss,
-                    lr=lr,
-                    cum_flops=ledgers[group[0]].cumulative_totals()[epoch],
-                    val_map50=val_map,
-                ))
+                val_map = (evaluate_detector(detector, val_scenes, cfg.sgd.batch_size, cache=state.cache).map50
+                           if cfg.evaluates(epoch) else None)
+                state.records.append(EpochRecord(epoch=epoch, frozen=freeze, mean_loss=mean_loss, lr=lr,
+                                                 cum_flops=running[group[0]][epoch], val_map50=val_map))
             yield from _finish_leaf(state, [(*runs[i], ledgers[i]) for i in group])
 
 
@@ -633,7 +630,7 @@ def write_curves_csv(records: Sequence[EpochRecord], path) -> None:
 
 
 def _curves_row(row) -> EpochRecord:
-    return EpochRecord(
+    record = EpochRecord(
         epoch=int(row[0]),
         frozen=int(row[1]),
         mean_loss=float(row[2]),
@@ -641,6 +638,9 @@ def _curves_row(row) -> EpochRecord:
         cum_flops=int(row[4]),
         val_map50=None if row[5] == MISSING else float(row[5]),
     )
+    if record.val_map50 is not None and not 0 <= record.val_map50 <= 1:
+        raise ValueError(f"val_map50 must be {MISSING} or in [0, 1], got {row[5]}")
+    return record
 
 
 def read_curves_csv(path) -> list[EpochRecord]:
@@ -730,18 +730,47 @@ def write_run_dir(result: RunResult) -> None:
     _write_atomically(checkpoint, save_checkpoint, result.detector)
 
 
+def _planned_run(run_dir) -> tuple[ExperimentConfig, FlopsLedger]:
+    """(config, planned ledger) of a run directory, whose ledger.csv must
+    hold the records its config.json plans (plan_ledger)."""
+    cfg = load_config(os.path.join(run_dir, "config.json"))
+    ledger = plan_ledger(cfg)
+    path = os.path.join(run_dir, "ledger.csv")
+    if read_ledger_csv(path).records != ledger.records:
+        raise ValueError(f"{path} differs from the ledger its config.json plans")
+    return cfg, ledger
+
+
+def _check_curves(path, records: Sequence[EpochRecord], cfg: ExperimentConfig, ledger: FlopsLedger) -> None:
+    """The records read from `path` must be the run's epochs in order, each
+    with the freeze flag and running total of the planned `ledger`, and a
+    val_map50 on exactly the epochs that cfg.evaluates."""
+    if len(records) != len(ledger.records):
+        raise ValueError(f"{path} holds {len(records)} epoch rows; its config.json plans {len(ledger.records)}")
+    for epoch, (record, planned, running) in enumerate(zip(records, ledger.records, ledger.cumulative_totals())):
+        got = (record.epoch, record.frozen, record.cum_flops, record.val_map50 is not None)
+        want = (epoch, planned.frozen, running, cfg.evaluates(epoch))
+        if got != want:
+            raise ValueError(f"{path}, data row {epoch + 1}: (epoch, frozen, cum_flops, evaluated) is {got}; "
+                             f"its config.json plans {want}")
+
+
 def rebuild_summary(run_dir, baseline_dir) -> dict:
     """Rewrite run_dir/summary.csv with deltas against baseline_dir's
     ledger, and return the new summary. No other file is written. Both
     directories must hold completed runs, i.e. carry the checkpoint.bin
-    that write_run_dir writes last."""
+    that write_run_dir writes last, and each must hold its config.json's
+    plan: its ledger.csv the planned ledger, and run_dir's curves.csv the
+    planned epochs (see _check_curves). A file that does not is one
+    ValueError that names it."""
     for d in (run_dir, baseline_dir):
         if not os.path.exists(os.path.join(d, "checkpoint.bin")):
             raise ValueError(f"{d} is not a completed run directory: it has no checkpoint.bin")
-    cfg = load_config(os.path.join(run_dir, "config.json"))
-    records = read_curves_csv(os.path.join(run_dir, "curves.csv"))
-    ledger = read_ledger_csv(os.path.join(run_dir, "ledger.csv"))
-    baseline = read_ledger_csv(os.path.join(baseline_dir, "ledger.csv"))
+    cfg, ledger = _planned_run(run_dir)
+    _, baseline = _planned_run(baseline_dir)
+    curves = os.path.join(run_dir, "curves.csv")
+    records = read_curves_csv(curves)
+    _check_curves(curves, records, cfg, ledger)
     summary = summarize_run(cfg, records, ledger, baseline)
     write_summary_csv(summary, os.path.join(run_dir, "summary.csv"))
     return summary

@@ -136,6 +136,67 @@ def test_report_refuses_a_run_directory_without_checkpoint(tmp_path, capsys, inc
     assert (dirs["run"] / "summary.csv").read_bytes() == summary
 
 
+def _edit_rows(path, edit):
+    """Rewrite the CSV file at `path` with its data rows passed through
+    `edit`, which changes the list of rows in place."""
+    header, rows = _read_rows(path)
+    edit(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def _freeze_last_ledger_row(rows):
+    """Mark the last epoch frozen, with no backbone backward and a
+    running total that fits, so the ledger passes every row check."""
+    last = rows[-1]
+    last[1], last[4] = "1", "0"
+    last[7] = str(int(rows[-2][7]) + sum(int(x) for x in last[3:7]))
+
+
+def _set_cell(row, column, value):
+    def edit(rows):
+        rows[row][column] = value
+    return edit
+
+
+def _swap_first_rows(rows):
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+# A 4-epoch inf:1 run with eval_every=2: epochs 1 and 3 are evaluated.
+@pytest.mark.parametrize("where,name,edit,message", [
+    ("run", "ledger.csv", _freeze_last_ledger_row, "differs from the ledger its config.json plans"),
+    ("base", "ledger.csv", _freeze_last_ledger_row, "differs from the ledger its config.json plans"),
+    ("run", "curves.csv", list.clear, "holds 0 epoch rows; its config.json plans 4"),
+    ("run", "curves.csv", lambda rows: rows.pop(2), "holds 3 epoch rows; its config.json plans 4"),
+    ("run", "curves.csv", _swap_first_rows, "data row 1: (epoch, frozen, cum_flops, evaluated) is (1,"),
+    ("run", "curves.csv", _set_cell(2, 1, "7"), "data row 3: (epoch, frozen, cum_flops, evaluated) is (2, 7,"),
+    ("run", "curves.csv", _set_cell(2, 4, "1"), "data row 3: (epoch, frozen, cum_flops, evaluated) is (2, 0, 1,"),
+    ("run", "curves.csv", _set_cell(0, 5, "0.5"), "data row 1: (epoch, frozen, cum_flops, evaluated) is (0,"),
+    ("run", "curves.csv", _set_cell(3, 5, "NA"), "data row 4: (epoch, frozen, cum_flops, evaluated) is (3,"),
+    ("run", "curves.csv", _set_cell(3, 5, "nan"), "line 5: val_map50 must be NA or in [0, 1], got nan"),
+    ("run", "curves.csv", _set_cell(3, 5, "1.5"), "line 5: val_map50 must be NA or in [0, 1], got 1.5"),
+], ids=["ledger-frozen", "baseline-ledger-frozen", "curves-header-only", "curves-row-deleted",
+        "curves-rows-swapped", "curves-frozen-7", "curves-cum-flops", "curves-map-unevaluated",
+        "curves-map-missing", "curves-map-nan", "curves-map-above-1"])
+def test_report_refuses_a_run_directory_that_is_not_its_config_plan(tmp_path, capsys, where, name, edit, message):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path, epochs=4)
+    dirs = {"run": tmp_path / "run", "base": tmp_path / "base"}
+    assert main(["run", "--config", str(cfg_path), "--out", str(dirs["run"])]) == 0
+    shutil.copytree(dirs["run"], dirs["base"])
+    path = dirs[where] / name
+    _edit_rows(path, edit)
+    summary = (dirs["run"] / "summary.csv").read_bytes()
+
+    capsys.readouterr()
+    assert main(["report", "--run", str(dirs["run"]), "--baseline", str(dirs["base"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and message in err
+    assert len(err.splitlines()) == 1
+    assert (dirs["run"] / "summary.csv").read_bytes() == summary
+
+
 def test_report_names_a_curves_file_that_is_not_utf8(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _small_config_file(cfg_path, epochs=1)

@@ -17,7 +17,13 @@ only `ExperimentConfig.__post_init__` and `plan_ledger` call
 `plan_detector`. A run's ledger is planned from its config: only
 `experiment.plan_ledger` calls `record_epoch`, and only
 `experiment.train_epoch` calls `lr_at`, at iterations that follow
-from the epoch."""
+from the epoch. A run's per-epoch plan is computed once: only
+`experiment.plan_ledger` and `flops.estimate_training_time` call
+`freeze_signals`, the training walk reads each epoch's freeze flag and
+running total from the planned ledger without re-expanding the schedule
+or re-summing the ledger per epoch, and the evaluation cadence
+(`ExperimentConfig.evaluates`) is read only by the walk and by
+`report`'s check of a run directory's curves."""
 
 import ast
 from dataclasses import fields
@@ -157,3 +163,21 @@ def test_a_config_is_checked_where_it_is_made():
     assert sorted(_calls_by_function(tree, "plan_detector")) == ["__post_init__", "plan_ledger"]
     (config,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"]
     assert _calls_by_function(config, "plan_detector") == ["__post_init__"]
+
+
+@pytest.mark.parametrize("name,callers", [
+    ("freeze_signals", [("experiment", "plan_ledger"), ("flops", "estimate_training_time")]),
+    ("evaluates", [("experiment", "_check_curves"), ("experiment", "run_experiments")]),
+])
+def test_a_run_is_planned_once_and_its_cadence_has_two_readers(name, callers):
+    assert sorted((module, function) for module in MODULES
+                  for function in _calls_by_function(_tree(module), name)) == callers
+
+
+def test_the_walk_neither_expands_a_schedule_nor_sums_a_ledger_per_epoch():
+    (walk,) = [node for node in _tree("experiment").body
+               if isinstance(node, ast.FunctionDef) and node.name == "run_experiments"]
+    in_loops = {name for loop in ast.walk(walk) if isinstance(loop, (ast.For, ast.While))
+                for name in ("freeze_signals", "cumulative_totals") if _calls_by_function(loop, name)}
+    assert in_loops == set()
+    assert _calls_by_function(walk, "cumulative_totals") == ["run_experiments"]
