@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "BBox",
     "Detection",
@@ -107,23 +109,26 @@ def match_detections(detections: Sequence[Detection], ground_truths: Sequence[Gr
     return flags
 
 
-def precision_recall(
-    tp_flags: Sequence[bool], scores: Sequence[float], n_ground_truth: int
-) -> tuple[list[float], list[float]]:
-    """Cumulative precision and recall along the score-ranked detections."""
+def _ranked_curve(tp_flags: Sequence[bool], scores: Sequence[float],
+                  n_ground_truth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hit, precision, recall) at each rank: detections in order of
+    descending score, a stable sort, so the original order breaks ties."""
     if len(tp_flags) != len(scores):
         raise ValueError("tp_flags and scores differ in length")
     if n_ground_truth < 1:
         raise ValueError("need at least one ground truth for a recall axis")
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    precisions, recalls = [], []
-    tp = 0
-    for rank, i in enumerate(order, start=1):
-        if tp_flags[i]:
-            tp += 1
-        precisions.append(tp / rank)
-        recalls.append(tp / n_ground_truth)
-    return precisions, recalls
+    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+    hits = np.asarray(tp_flags, dtype=bool)[order]
+    tp = np.cumsum(hits)
+    return hits, tp / np.arange(1, len(tp) + 1), tp / n_ground_truth
+
+
+def precision_recall(
+    tp_flags: Sequence[bool], scores: Sequence[float], n_ground_truth: int
+) -> tuple[list[float], list[float]]:
+    """Cumulative precision and recall along the score-ranked detections."""
+    _, precisions, recalls = _ranked_curve(tp_flags, scores, n_ground_truth)
+    return precisions.tolist(), recalls.tolist()
 
 
 def average_precision(
@@ -133,25 +138,11 @@ def average_precision(
 ) -> float:
     """Area under the interpolated precision-recall curve: precision is
     replaced by its running maximum from the right, then integrated over
-    the exact recall steps."""
-    if n_ground_truth < 1:
-        raise ValueError("need at least one ground truth")
-    if not tp_flags:
-        return 0.0
-    precisions, recalls = precision_recall(tp_flags, scores, n_ground_truth)
-
-    # Precision envelope, right to left.
-    env = list(precisions)
-    for i in range(len(env) - 2, -1, -1):
-        env[i] = max(env[i], env[i + 1])
-
-    ap = 0.0
-    prev_r = 0.0
-    for pi, ri in zip(env, recalls):
-        if ri > prev_r:
-            ap += (ri - prev_r) * pi
-            prev_r = ri
-    return ap
+    the exact recall steps (one per hit), summed in rank order."""
+    hits, precisions, recalls = _ranked_curve(tp_flags, scores, n_ground_truth)
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    area = np.cumsum(np.diff(recalls[hits], prepend=0.0) * envelope[hits])
+    return float(area[-1]) if area.size else 0.0
 
 
 @dataclass(frozen=True)

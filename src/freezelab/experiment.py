@@ -34,6 +34,7 @@ from .evaluation import EvalReport, map50
 from .flops import EpochFlopsRecord, FlopsLedger, TimeModel, delta_flops, estimate_training_time
 from .model import (
     Detector,
+    PredictionGrid,
     backbone_features,
     build_detector,
     decode_predictions,
@@ -352,21 +353,20 @@ def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: i
     """mAP@50 of the detector over `scenes`. Runs outside any tape, so
     nothing is recorded and no FLOPs are charged. The backbone outputs
     come from `cache.val`, which must hold one row per scene; an empty
-    store is filled up front."""
+    store is filled up front. The head runs `batch_size` scenes at a time
+    (a larger matmul would change its bits), and the stacked predictions
+    are decoded in one call."""
+    if not scenes:
+        raise ValueError("cannot evaluate on an empty scene list")
     if cache.val is None:
         cache.val = _backbone_outputs(detector, scenes, batch_size)
     elif len(cache.val) != len(scenes):
         raise ValueError(f"cache holds {len(cache.val)} val scenes, got {len(scenes)}")
-    detections = []
-    ground_truths = []
-    image_size = detector.input_shape[1]
-    for lo in range(0, len(scenes), batch_size):
-        chunk = scenes[lo : lo + batch_size]
-        pred = detector_forward(detector, None, 1, features=Tensor(cache.val[lo : lo + batch_size]))
-        detections.extend(decode_predictions(pred, [s.index for s in chunk], image_size))
-        for s in chunk:
-            ground_truths.extend(s.ground_truths)
-    return map50(detections, ground_truths)
+    heads = [detector_forward(detector, None, 1, features=Tensor(cache.val[lo : lo + batch_size])).tensor.data
+             for lo in range(0, len(scenes), batch_size)]
+    pred = PredictionGrid(Tensor(np.concatenate(heads)), detector.grid_size, detector.num_classes)
+    detections = decode_predictions(pred, [s.index for s in scenes], detector.input_shape[1])
+    return map50(detections, [gt for s in scenes for gt in s.ground_truths])
 
 
 def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
@@ -743,16 +743,21 @@ def _planned_run(run_dir) -> tuple[ExperimentConfig, FlopsLedger]:
 
 def _check_curves(path, records: Sequence[EpochRecord], cfg: ExperimentConfig, ledger: FlopsLedger) -> None:
     """The records read from `path` must be the run's epochs in order, each
-    with the freeze flag and running total of the planned `ledger`, and a
-    val_map50 on exactly the epochs that cfg.evaluates."""
+    with the freeze flag and running total of the planned `ledger`, a
+    val_map50 on exactly the epochs that cfg.evaluates, and the rate of
+    the epoch's last iteration (see train_epoch)."""
     if len(records) != len(ledger.records):
         raise ValueError(f"{path} holds {len(records)} epoch rows; its config.json plans {len(ledger.records)}")
+    per_epoch = math.ceil(cfg.n_train / cfg.sgd.batch_size)
     for epoch, (record, planned, running) in enumerate(zip(records, ledger.records, ledger.cumulative_totals())):
         got = (record.epoch, record.frozen, record.cum_flops, record.val_map50 is not None)
         want = (epoch, planned.frozen, running, cfg.evaluates(epoch))
         if got != want:
             raise ValueError(f"{path}, data row {epoch + 1}: (epoch, frozen, cum_flops, evaluated) is {got}; "
                              f"its config.json plans {want}")
+        lr = lr_at((epoch + 1) * per_epoch - 1, epoch, cfg.lr)
+        if record.lr != lr:
+            raise ValueError(f"{path}, data row {epoch + 1}: lr is {record.lr!r}; its config.json plans {lr!r}")
 
 
 def rebuild_summary(run_dir, baseline_dir) -> dict:

@@ -494,44 +494,38 @@ def decode_predictions(
     image_ids: Sequence[int],
     image_size: int,
 ) -> list[Detection]:
-    """Per-cell decoding: a cell emits one detection when its objectness
-    sigmoid exceeds 0.5; score = objectness times the best class
-    probability. Boxes are clipped to the image; cells whose box clips to
-    nothing are dropped."""
+    """Every cell of the batch decoded at once. A cell emits one detection
+    when its objectness sigmoid exceeds 0.5, its score (objectness times
+    the best class probability; the first class wins a tie) is finite,
+    and its box, clipped to the image, keeps a positive width and height.
+    The clip passes NaN on, so that last test also drops a box with a
+    non-finite corner. Detections come in image, row, column order, every
+    field a Python number."""
     data = pred.tensor.data
     if data.shape[0] != len(image_ids):
         raise ValueError(f"got {len(image_ids)} image ids for a batch of {data.shape[0]}")
-    s, c = pred.grid_size, pred.num_classes
-    cell = image_size / s
+    index = np.arange(pred.grid_size)
+    cell = image_size / pred.grid_size
 
     p_obj = _sigmoid(pred.objectness_logits)
     logits = pred.class_logits
     m = logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits - m)
     probs /= probs.sum(axis=-1, keepdims=True)
-    offsets = pred.box_offsets
+    cls = probs.argmax(axis=-1)
+    score = p_obj * np.take_along_axis(probs, cls[..., None], axis=-1)[..., 0]
 
-    detections = []
-    for bi, image_id in enumerate(image_ids):
-        for sy in range(s):
-            for sx in range(s):
-                if p_obj[bi, sy, sx] <= 0.5:
-                    continue
-                cls = int(np.argmax(probs[bi, sy, sx]))
-                score = float(p_obj[bi, sy, sx] * probs[bi, sy, sx, cls])
-                dx, dy, tw, th = offsets[bi, sy, sx]
-                cx, cy = (sx + dx) * cell, (sy + dy) * cell
-                w = float(np.exp(np.clip(tw, -12.0, 12.0))) * cell
-                h = float(np.exp(np.clip(th, -12.0, 12.0))) * cell
-                x0, x1 = max(0.0, cx - w / 2), min(float(image_size), cx + w / 2)
-                y0, y1 = max(0.0, cy - h / 2), min(float(image_size), cy + h / 2)
-                if x1 <= x0 or y1 <= y0:
-                    continue
-                detections.append(
-                    Detection(image_id=int(image_id), class_id=cls, score=score,
-                              box=BBox(x0, y0, x1, y1))
-                )
-    return detections
+    dx, dy, tw, th = np.moveaxis(pred.box_offsets, -1, 0)
+    cx, cy = (index + dx) * cell, (index[:, None] + dy) * cell
+    half_w = np.exp(np.clip(tw, -12.0, 12.0)) * cell / 2
+    half_h = np.exp(np.clip(th, -12.0, 12.0)) * cell / 2
+    x0, x1 = np.maximum(cx - half_w, 0.0), np.minimum(cx + half_w, float(image_size))
+    y0, y1 = np.maximum(cy - half_h, 0.0), np.minimum(cy + half_h, float(image_size))
+
+    keep = (p_obj > 0.5) & np.isfinite(score) & (x1 > x0) & (y1 > y0)
+    ids = np.asarray(image_ids, dtype=np.int64)[np.nonzero(keep)[0]]
+    boxes = map(BBox, x0[keep].tolist(), y0[keep].tolist(), x1[keep].tolist(), y1[keep].tolist())
+    return list(map(Detection, ids.tolist(), cls[keep].tolist(), score[keep].tolist(), boxes))
 
 
 def _parameters(layers: Sequence[Layer]):

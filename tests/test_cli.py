@@ -176,9 +176,10 @@ def _swap_first_rows(rows):
     ("run", "curves.csv", _set_cell(3, 5, "NA"), "data row 4: (epoch, frozen, cum_flops, evaluated) is (3,"),
     ("run", "curves.csv", _set_cell(3, 5, "nan"), "line 5: val_map50 must be NA or in [0, 1], got nan"),
     ("run", "curves.csv", _set_cell(3, 5, "1.5"), "line 5: val_map50 must be NA or in [0, 1], got 1.5"),
+    ("run", "curves.csv", _set_cell(1, 3, "99.0"), "data row 2: lr is 99.0; its config.json plans 0."),
 ], ids=["ledger-frozen", "baseline-ledger-frozen", "curves-header-only", "curves-row-deleted",
         "curves-rows-swapped", "curves-frozen-7", "curves-cum-flops", "curves-map-unevaluated",
-        "curves-map-missing", "curves-map-nan", "curves-map-above-1"])
+        "curves-map-missing", "curves-map-nan", "curves-map-above-1", "curves-lr"])
 def test_report_refuses_a_run_directory_that_is_not_its_config_plan(tmp_path, capsys, where, name, edit, message):
     cfg_path = tmp_path / "cfg.json"
     _small_config_file(cfg_path, epochs=4)

@@ -15,15 +15,19 @@ the one place a stride is filled. No module raises or catches
 `cli.main`. A config is checked whole where it is made: in `experiment`,
 only `ExperimentConfig.__post_init__` and `plan_ledger` call
 `plan_detector`. A run's ledger is planned from its config: only
-`experiment.plan_ledger` calls `record_epoch`, and only
-`experiment.train_epoch` calls `lr_at`, at iterations that follow
-from the epoch. A run's per-epoch plan is computed once: only
-`experiment.plan_ledger` and `flops.estimate_training_time` call
-`freeze_signals`, the training walk reads each epoch's freeze flag and
-running total from the planned ledger without re-expanding the schedule
-or re-summing the ledger per epoch, and the evaluation cadence
-(`ExperimentConfig.evaluates`) is read only by the walk and by
-`report`'s check of a run directory's curves."""
+`experiment.plan_ledger` calls `record_epoch`. The learning rate
+(`lr_at`, at iterations that follow from the epoch) has two readers:
+`experiment.train_epoch`, and `report`'s check of a run directory's
+curves, which holds each epoch's `lr` to it. A run's per-epoch plan is
+computed once: only `experiment.plan_ledger` and
+`flops.estimate_training_time` call `freeze_signals`, the training walk
+reads each epoch's freeze flag and running total from the planned
+ledger without re-expanding the schedule or re-summing the ledger per
+epoch, and the evaluation cadence (`ExperimentConfig.evaluates`) is read
+only by the walk and by that same check. An evaluation is scored with
+arrays: `model.decode_predictions`, `evaluation.precision_recall` and
+`evaluation.average_precision` hold no `for` or `while` loop, and only
+`experiment.evaluate_detector` decodes, once per evaluation."""
 
 import ast
 from dataclasses import fields
@@ -138,9 +142,9 @@ def test_a_schedule_expands_in_one_place_and_one_function_makes_a_report(name, h
 
 @pytest.mark.parametrize("name,home", [
     ("record_epoch", ("experiment", "plan_ledger")),
-    ("lr_at", ("experiment", "train_epoch")),
+    ("decode_predictions", ("experiment", "evaluate_detector")),
 ])
-def test_a_ledger_is_planned_in_one_place_and_one_function_reads_the_rate(name, home):
+def test_one_function_plans_a_ledger_and_one_decodes(name, home):
     callers = [(module, function) for module in MODULES
                for function in _calls_by_function(_tree(module), name)]
     assert callers == [home]
@@ -168,6 +172,7 @@ def test_a_config_is_checked_where_it_is_made():
 @pytest.mark.parametrize("name,callers", [
     ("freeze_signals", [("experiment", "plan_ledger"), ("flops", "estimate_training_time")]),
     ("evaluates", [("experiment", "_check_curves"), ("experiment", "run_experiments")]),
+    ("lr_at", [("experiment", "_check_curves"), ("experiment", "train_epoch")]),
 ])
 def test_a_run_is_planned_once_and_its_cadence_has_two_readers(name, callers):
     assert sorted((module, function) for module in MODULES
@@ -181,3 +186,14 @@ def test_the_walk_neither_expands_a_schedule_nor_sums_a_ledger_per_epoch():
                 for name in ("freeze_signals", "cumulative_totals") if _calls_by_function(loop, name)}
     assert in_loops == set()
     assert _calls_by_function(walk, "cumulative_totals") == ["run_experiments"]
+
+
+@pytest.mark.parametrize("module,name", [
+    ("model", "decode_predictions"),
+    ("evaluation", "precision_recall"),
+    ("evaluation", "average_precision"),
+])
+def test_scoring_holds_no_loop(module, name):
+    (function,) = [node for node in _tree(module).body
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(function))
