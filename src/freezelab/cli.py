@@ -1,7 +1,7 @@
 """Command-line front end: run one schedule, rebuild a report, or sweep a
 period grid.
 
-    freezelab run    --config cfg.json [--baseline ledger.csv] [--out dir]
+    freezelab run    --config cfg.json [--baseline dir] [--out dir]
     freezelab report --run dir --baseline dir
     freezelab grid   --config cfg.json --rhos 1,2,5,10,inf [--out dir]
                      [--switch 4] [--seeds 0]
@@ -23,7 +23,7 @@ from .experiment import (
     ExperimentConfig,
     load_config,
     plan_ledger,
-    read_ledger_csv,
+    read_run_dir,
     rebuild_summary,
     run_experiment,
     run_experiments,
@@ -43,7 +43,7 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, output_dir=args.out)
     if cfg.output_dir is None:
         raise ValueError("config has no output_dir and --out was not given")
-    baseline = read_ledger_csv(args.baseline) if args.baseline else None
+    baseline = read_run_dir(args.baseline)[1] if args.baseline else None
     summary = run_experiment(cfg, baseline_ledger=baseline).summary
     print(f"run complete: {cfg.output_dir}")
     print(f"  schedule           {summary['schedule']}")
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="train one config and write its run directory")
     p_run.add_argument("--config", required=True, help="experiment config (JSON)")
-    p_run.add_argument("--baseline", help="baseline ledger.csv for the summary delta column")
+    p_run.add_argument("--baseline", help="completed baseline run directory for the summary delta column")
     p_run.add_argument("--out", help="output directory (overrides config output_dir)")
     p_run.set_defaults(fn=_cmd_run)
 

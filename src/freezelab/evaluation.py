@@ -23,7 +23,6 @@ __all__ = [
     "EvalReport",
     "iou",
     "match_detections",
-    "precision_recall",
     "average_precision",
     "map50",
     "IOU_THRESHOLD",
@@ -121,14 +120,6 @@ def _ranked_curve(tp_flags: Sequence[bool], scores: Sequence[float],
     hits = np.asarray(tp_flags, dtype=bool)[order]
     tp = np.cumsum(hits)
     return hits, tp / np.arange(1, len(tp) + 1), tp / n_ground_truth
-
-
-def precision_recall(
-    tp_flags: Sequence[bool], scores: Sequence[float], n_ground_truth: int
-) -> tuple[list[float], list[float]]:
-    """Cumulative precision and recall along the score-ranked detections."""
-    _, precisions, recalls = _ranked_curve(tp_flags, scores, n_ground_truth)
-    return precisions.tolist(), recalls.tolist()
 
 
 def average_precision(

@@ -87,6 +87,7 @@ __all__ = [
     "write_summary_csv",
     "read_summary_csv",
     "write_run_dir",
+    "read_run_dir",
     "rebuild_summary",
     "CURVES_COLUMNS",
     "LEDGER_COLUMNS",
@@ -730,17 +731,6 @@ def write_run_dir(result: RunResult) -> None:
     _write_atomically(checkpoint, save_checkpoint, result.detector)
 
 
-def _planned_run(run_dir) -> tuple[ExperimentConfig, FlopsLedger]:
-    """(config, planned ledger) of a run directory, whose ledger.csv must
-    hold the records its config.json plans (plan_ledger)."""
-    cfg = load_config(os.path.join(run_dir, "config.json"))
-    ledger = plan_ledger(cfg)
-    path = os.path.join(run_dir, "ledger.csv")
-    if read_ledger_csv(path).records != ledger.records:
-        raise ValueError(f"{path} differs from the ledger its config.json plans")
-    return cfg, ledger
-
-
 def _check_curves(path, records: Sequence[EpochRecord], cfg: ExperimentConfig, ledger: FlopsLedger) -> None:
     """The records read from `path` must be the run's epochs in order, each
     with the freeze flag and running total of the planned `ledger`, a
@@ -760,22 +750,32 @@ def _check_curves(path, records: Sequence[EpochRecord], cfg: ExperimentConfig, l
             raise ValueError(f"{path}, data row {epoch + 1}: lr is {record.lr!r}; its config.json plans {lr!r}")
 
 
+def read_run_dir(run_dir) -> tuple[ExperimentConfig, FlopsLedger, list[EpochRecord]]:
+    """(config, planned ledger, epoch records) of a completed run directory
+    held to its config.json's plan. The directory must carry the
+    checkpoint.bin that write_run_dir writes last, its ledger.csv must hold
+    the ledger its config.json plans (plan_ledger), and its curves.csv the
+    planned epochs (see _check_curves). A file that does not is one
+    ValueError that names it."""
+    if not os.path.exists(os.path.join(run_dir, "checkpoint.bin")):
+        raise ValueError(f"{run_dir} is not a completed run directory: it has no checkpoint.bin")
+    cfg = load_config(os.path.join(run_dir, "config.json"))
+    ledger = plan_ledger(cfg)
+    path = os.path.join(run_dir, "ledger.csv")
+    if read_ledger_csv(path).records != ledger.records:
+        raise ValueError(f"{path} differs from the ledger its config.json plans")
+    path = os.path.join(run_dir, "curves.csv")
+    records = read_curves_csv(path)
+    _check_curves(path, records, cfg, ledger)
+    return cfg, ledger, records
+
+
 def rebuild_summary(run_dir, baseline_dir) -> dict:
     """Rewrite run_dir/summary.csv with deltas against baseline_dir's
     ledger, and return the new summary. No other file is written. Both
-    directories must hold completed runs, i.e. carry the checkpoint.bin
-    that write_run_dir writes last, and each must hold its config.json's
-    plan: its ledger.csv the planned ledger, and run_dir's curves.csv the
-    planned epochs (see _check_curves). A file that does not is one
-    ValueError that names it."""
-    for d in (run_dir, baseline_dir):
-        if not os.path.exists(os.path.join(d, "checkpoint.bin")):
-            raise ValueError(f"{d} is not a completed run directory: it has no checkpoint.bin")
-    cfg, ledger = _planned_run(run_dir)
-    _, baseline = _planned_run(baseline_dir)
-    curves = os.path.join(run_dir, "curves.csv")
-    records = read_curves_csv(curves)
-    _check_curves(curves, records, cfg, ledger)
+    directories are read by read_run_dir."""
+    cfg, ledger, records = read_run_dir(run_dir)
+    _, baseline, _ = read_run_dir(baseline_dir)
     summary = summarize_run(cfg, records, ledger, baseline)
     write_summary_csv(summary, os.path.join(run_dir, "summary.csv"))
     return summary

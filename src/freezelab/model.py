@@ -4,10 +4,10 @@ The detector is deliberately tiny: a conv stack as the backbone, an
 optional flatten/dense neck, and a dense head that emits one prediction
 vector per cell of an S x S grid (objectness logit, C class logits, and
 4 box offsets). The freeze signal gates the backbone as a single unit:
-with freeze=1 the backbone runs without tape recording and its output is
-detached, so the forward values are bit-identical to the unfrozen pass
-while no gradient can reach any backbone parameter. That detached output
-is `backbone_features`; a frozen forward may be handed it instead of the
+with freeze=1 the backbone runs without tape recording, so its output
+requires no grad: the forward values are bit-identical to the unfrozen
+pass while no gradient can reach any backbone parameter. That output is
+`backbone_features`; a frozen forward may be handed it instead of the
 images, and then runs only the neck and head.
 """
 
@@ -349,12 +349,11 @@ def _run_layers(layers: Sequence[Layer], x: Tensor) -> Tensor:
 
 
 def backbone_features(d: Detector, batch: Tensor) -> Tensor:
-    """The backbone's output for `batch`, run without tape recording and
-    detached: what a frozen backbone hands the neck. Each scene's row is
-    bit-identical in any batch composition."""
+    """The backbone's output for `batch`, run without tape recording, so it
+    requires no grad and has no tape node: what a frozen backbone hands the
+    neck. Each scene's row is bit-identical in any batch composition."""
     with ad.pause_recording():
-        out = _run_layers(d.backbone, batch)
-    return ad.detach(out)
+        return _run_layers(d.backbone, batch)
 
 
 def detector_forward(d: Detector, batch: Optional[Tensor], freeze: int,

@@ -1,6 +1,6 @@
 """The per-cell decode and the per-rank precision-recall loops, kept as
 oracles for the array forms in `model.decode_predictions` and
-`evaluation.precision_recall` / `average_precision`, and the per-batch
+`evaluation.average_precision`, and the per-batch
 evaluation path that `experiment.evaluate_detector` replaced.
 
 These are the loops the package used before it scored with arrays. They

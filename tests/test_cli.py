@@ -11,17 +11,16 @@ import pytest
 from freezelab import experiment
 from freezelab.cli import DELTA_MAP_COLUMNS, GRID_SUMMARY_COLUMNS, main
 from freezelab.data import SceneConfig
-from freezelab.experiment import default_config, load_config, read_summary_csv, save_config, write_ledger_csv
-from freezelab.flops import FlopsLedger
-from freezelab.model import build_detector, default_desk_arch, flops_specs
+from freezelab.experiment import default_config, load_config, read_summary_csv, save_config
+from freezelab.model import default_desk_arch
 from freezelab.schedule import ScheduleSpec
 
 
-def _small_config_file(path, *, epochs=3, schedule=None):
+def _small_config_file(path, *, epochs=3, n_train=16, schedule=None):
     cfg = default_config(
         total_epochs=epochs,
         eval_every=2,
-        n_train=16,
+        n_train=n_train,
         n_val=8,
         scene=SceneConfig(seed=0),
         schedule=schedule if schedule is not None else ScheduleSpec([(math.inf, 1)]),
@@ -65,7 +64,7 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_run_with_baseline_ledger_fills_delta(tmp_path):
+def test_run_with_baseline_run_dir_fills_delta(tmp_path):
     base_cfg = tmp_path / "base.json"
     _small_config_file(base_cfg)
     base_out = tmp_path / "base"
@@ -76,7 +75,7 @@ def test_run_with_baseline_ledger_fills_delta(tmp_path):
     frozen_out = tmp_path / "frozen"
     assert main([
         "run", "--config", str(frozen_cfg), "--out", str(frozen_out),
-        "--baseline", str(base_out / "ledger.csv"),
+        "--baseline", str(base_out),
     ]) == 0
     summary = read_summary_csv(frozen_out / "summary.csv")
     assert summary["delta_flops_vs_baseline"] is not None
@@ -85,19 +84,18 @@ def test_run_with_baseline_ledger_fills_delta(tmp_path):
 
 @pytest.mark.parametrize("epochs,n_train", [(3, 16), (4, 8)])
 def test_run_rejects_a_baseline_of_another_shape_before_training(tmp_path, capsys, monkeypatch, epochs, n_train):
-    cfg_path = tmp_path / "cfg.json"
-    cfg = _small_config_file(cfg_path, epochs=4)
-    specs = flops_specs(build_detector(cfg.arch, init_seed=cfg.seed))
-    baseline = FlopsLedger(specs)
-    for epoch in range(epochs):
-        baseline.record_epoch(epoch, 0, specs, n_train)
-    write_ledger_csv(baseline, tmp_path / "ledger.csv")
+    cfg_path, base_cfg = tmp_path / "cfg.json", tmp_path / "base.json"
+    _small_config_file(cfg_path, epochs=4)
+    _small_config_file(base_cfg, epochs=epochs, n_train=n_train)
+    base_out = tmp_path / "base"
+    assert main(["run", "--config", str(base_cfg), "--out", str(base_out)]) == 0
     trained = []
     monkeypatch.setattr(experiment, "train_epoch", lambda *args, **kwargs: trained.append(args))
 
+    capsys.readouterr()
     out = tmp_path / "run"
     assert main(["run", "--config", str(cfg_path), "--out", str(out),
-                 "--baseline", str(tmp_path / "ledger.csv")]) == 1
+                 "--baseline", str(base_out)]) == 1
     assert trained == []
     assert "ledgers describe different runs" in capsys.readouterr().err
     assert not out.exists()
@@ -177,9 +175,10 @@ def _swap_first_rows(rows):
     ("run", "curves.csv", _set_cell(3, 5, "nan"), "line 5: val_map50 must be NA or in [0, 1], got nan"),
     ("run", "curves.csv", _set_cell(3, 5, "1.5"), "line 5: val_map50 must be NA or in [0, 1], got 1.5"),
     ("run", "curves.csv", _set_cell(1, 3, "99.0"), "data row 2: lr is 99.0; its config.json plans 0."),
+    ("base", "curves.csv", _set_cell(1, 3, "99.0"), "data row 2: lr is 99.0; its config.json plans 0."),
 ], ids=["ledger-frozen", "baseline-ledger-frozen", "curves-header-only", "curves-row-deleted",
         "curves-rows-swapped", "curves-frozen-7", "curves-cum-flops", "curves-map-unevaluated",
-        "curves-map-missing", "curves-map-nan", "curves-map-above-1", "curves-lr"])
+        "curves-map-missing", "curves-map-nan", "curves-map-above-1", "curves-lr", "baseline-curves-lr"])
 def test_report_refuses_a_run_directory_that_is_not_its_config_plan(tmp_path, capsys, where, name, edit, message):
     cfg_path = tmp_path / "cfg.json"
     _small_config_file(cfg_path, epochs=4)
@@ -196,6 +195,55 @@ def test_report_refuses_a_run_directory_that_is_not_its_config_plan(tmp_path, ca
     assert err.startswith(f"error: {path}") and message in err
     assert len(err.splitlines()) == 1
     assert (dirs["run"] / "summary.csv").read_bytes() == summary
+
+
+def _negative_backbone_backward(rows):
+    """Charge every epoch -5 backbone backward FLOPs, with running totals
+    that fit, so the ledger passes every row check."""
+    running = 0
+    for row in rows:
+        row[4] = "-5"
+        running += sum(int(x) for x in row[3:7])
+        row[7] = str(running)
+
+
+def _remove_checkpoint(base_out):
+    (base_out / "checkpoint.bin").unlink()
+    return base_out
+
+
+def _tamper(name, edit):
+    def tamper(base_out):
+        _edit_rows(base_out / name, edit)
+        return base_out / name
+    return tamper
+
+
+# A 2-epoch inf:1 run with eval_every=2, and a run of the same config
+# against it as its baseline.
+@pytest.mark.parametrize("tamper,message", [
+    (_tamper("ledger.csv", _negative_backbone_backward), "differs from the ledger its config.json plans"),
+    (_remove_checkpoint, "is not a completed run directory: it has no checkpoint.bin"),
+    (_tamper("curves.csv", _set_cell(0, 3, "99.0")), "data row 1: lr is 99.0; its config.json plans 0."),
+], ids=["ledger-negative-bwd-backbone", "no-checkpoint", "curves-lr"])
+def test_run_refuses_a_baseline_that_is_not_its_config_plan_before_training(tmp_path, capsys, monkeypatch,
+                                                                            tamper, message):
+    cfg_path = tmp_path / "cfg.json"
+    _small_config_file(cfg_path, epochs=2)
+    base_out = tmp_path / "base"
+    assert main(["run", "--config", str(cfg_path), "--out", str(base_out)]) == 0
+    named = tamper(base_out)
+    trained = []
+    monkeypatch.setattr(experiment, "train_epoch", lambda *args, **kwargs: trained.append(args))
+
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--baseline", str(base_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and message in err
+    assert len(err.splitlines()) == 1
+    assert trained == []
+    assert not out.exists()
 
 
 def test_report_names_a_curves_file_that_is_not_utf8(tmp_path, capsys):

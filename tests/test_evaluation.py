@@ -15,7 +15,6 @@ from freezelab.evaluation import (
     iou,
     map50,
     match_detections,
-    precision_recall,
 )
 
 
@@ -146,12 +145,6 @@ def test_match_independent_of_input_permutation():
 
 # --------------------------------------------------------------------------
 # precision / recall / AP
-
-
-def test_precision_recall_curve():
-    precisions, recalls = precision_recall([True, False, True], [0.9, 0.8, 0.7], 2)
-    assert precisions == [1.0, 0.5, 2 / 3]
-    assert recalls == [0.5, 0.5, 1.0]
 
 
 def test_perfect_detector_ap():

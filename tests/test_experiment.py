@@ -26,6 +26,7 @@ from freezelab.experiment import (
     read_curves_csv,
     read_summary_csv,
     read_ledger_csv,
+    read_run_dir,
     rebuild_summary,
     run_experiment,
     save_config,
@@ -512,9 +513,8 @@ def test_run_dir_holds_all_artifacts(tmp_path):
     )
     run = run_experiment(cfg)
 
-    assert load_config(out / "config.json") == cfg
-    assert read_curves_csv(out / "curves.csv") == run.records
-    assert read_ledger_csv(out / "ledger.csv").total_flops() == run.ledger.total_flops()
+    config, ledger, records = read_run_dir(out)
+    assert config == cfg and records == run.records and ledger.records == run.ledger.records
     assert read_summary_csv(out / "summary.csv")["final_map50"] == run.records[-1].val_map50
 
     fresh = build_detector(cfg.arch, init_seed=99)

@@ -119,6 +119,14 @@ def test_model_mismatch_rejected():
         ledger.record_epoch(1, 0, other, n_samples=1)
 
 
+def test_a_ledger_built_for_a_model_rejects_another_model_spec():
+    ledger = FlopsLedger(_two_group_model())
+    other = [LayerFlopsSpec(0, "backbone", 100), LayerFlopsSpec(1, "neck", 50)]
+    with pytest.raises(ValueError, match="model spec does not match the one this ledger was built for"):
+        ledger.record_epoch(0, 0, other, n_samples=1)
+    assert ledger.records == []
+
+
 def test_bad_freeze_and_sample_count_rejected():
     ledger = FlopsLedger()
     with pytest.raises(ValueError):
@@ -179,6 +187,15 @@ def test_mismatched_runs_rejected():
     d = _run_ledger(other, [0, 0], 10)
     with pytest.raises(ValueError):
         delta_flops(a, d)
+
+
+def test_ledgers_of_one_run_shape_but_different_models_are_rejected():
+    # The same forward cost per group and epoch, split over other layers.
+    a = _run_ledger(_two_group_model(), [0, 1], 10)
+    split = [LayerFlopsSpec(0, "backbone", 60), LayerFlopsSpec(1, "backbone", 40), LayerFlopsSpec(2, "head", 50)]
+    b = _run_ledger(split, [0, 0], 10)
+    with pytest.raises(ValueError, match="ledgers describe different models"):
+        delta_flops(a, b)
 
 
 def test_freeze_flags_alone_may_differ():

@@ -25,9 +25,12 @@ reads each epoch's freeze flag and running total from the planned
 ledger without re-expanding the schedule or re-summing the ledger per
 epoch, and the evaluation cadence (`ExperimentConfig.evaluates`) is read
 only by the walk and by that same check. An evaluation is scored with
-arrays: `model.decode_predictions`, `evaluation.precision_recall` and
-`evaluation.average_precision` hold no `for` or `while` loop, and only
-`experiment.evaluate_detector` decodes, once per evaluation."""
+arrays: `model.decode_predictions` and `evaluation.average_precision`
+hold no `for` or `while` loop, and only `experiment.evaluate_detector`
+decodes, once per evaluation. A run directory has one reader: only
+`experiment.read_run_dir` reads a `ledger.csv` or a `curves.csv`, so
+`report --run`, `report --baseline` and `run --baseline` hold a
+directory to its config's plan alike."""
 
 import ast
 from dataclasses import fields
@@ -190,10 +193,16 @@ def test_the_walk_neither_expands_a_schedule_nor_sums_a_ledger_per_epoch():
 
 @pytest.mark.parametrize("module,name", [
     ("model", "decode_predictions"),
-    ("evaluation", "precision_recall"),
     ("evaluation", "average_precision"),
 ])
 def test_scoring_holds_no_loop(module, name):
     (function,) = [node for node in _tree(module).body
                    if isinstance(node, ast.FunctionDef) and node.name == name]
     assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(function))
+
+
+@pytest.mark.parametrize("name", ["read_ledger_csv", "read_curves_csv"])
+def test_one_function_reads_a_run_directory(name):
+    callers = [(module, function) for module in MODULES
+               for function in _calls_by_function(_tree(module), name)]
+    assert callers == [("experiment", "read_run_dir")]
