@@ -8,6 +8,9 @@ frozen epochs skip the backbone's backward cost in the ledger and leave
 its parameters untouched. While the backbone stays frozen its output for
 a scene is a constant, so a run computes it once per frozen stretch (see
 RunCache); the ledger still charges every frozen epoch its forward pass.
+Runs that share a freeze prefix train it once, and where spare cores
+exist the branches they part into train in worker processes (see
+run_experiments); neither changes an output byte.
 
 This module also reads and writes every table file of a run or grid
 directory (curves, ledger, summary, grid summary, delta map) in one CSV
@@ -21,6 +24,8 @@ import ctypes
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import tempfile
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -457,28 +462,299 @@ def _hold_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
+def _spare_cores() -> int:
+    """The cores this process may run on, less the one it trains on: the
+    most worker processes a walk starts (see run_experiments). None where
+    os.posix_spawn, which starts them, is missing."""
+    if not hasattr(os, "posix_spawn"):
+        return 0
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cores - 1
+
+
+def _part(ledgers: Sequence[FlopsLedger], group: list, epoch: int) -> tuple[list, list]:
+    """The runs of `group` whose planned epoch `epoch` is frozen, and the others."""
+    frozen = [i for i in group if ledgers[i].records[epoch].frozen]
+    return frozen, [i for i in group if i not in frozen]
+
+
+def _plan_branch(ledgers: Sequence[FlopsLedger], group: list, epoch: int) -> tuple[list, int]:
+    """(leaves, flops) of the branch that trains the runs `group` from
+    `epoch` on: the groups of runs that share each leaf, in the order the
+    one-process walk finishes them (the frozen side of every split first),
+    and the planned ledger FLOPs of training each epoch of the branch once."""
+    flops = 0
+    for e in range(epoch, len(ledgers[group[0]].records)):
+        sides = _part(ledgers, group, e)
+        if all(sides):
+            (first, a), (second, b) = (_plan_branch(ledgers, side, e) for side in sides)
+            return first + second, flops + a + b
+        flops += ledgers[group[0]].records[e].total()
+    return [group], flops
+
+
+def _heaviest(queue: list, ledgers: Sequence[FlopsLedger]) -> tuple:
+    """Take the queued branch with the most planned ledger FLOPs left."""
+    def left(k):
+        parked, group = queue[k]
+        return _plan_branch(ledgers, group, len(parked[1]) if parked else 0)[1]
+    return queue.pop(max(range(len(queue)), key=left))
+
+
+class _Walk:
+    """One process's part in a walk (see run_experiments): the runs' planned
+    ledgers, the scenes, and one TrainState that `train_branch` moves along
+    one branch of the trie at a time. Making one sets the process's heap
+    policy (see _hold_heap) before it generates the data."""
+
+    def __init__(self, cfg: ExperimentConfig, ledgers: Sequence[FlopsLedger], fork_dir: str):
+        self.cfg, self.ledgers, self.fork_dir = cfg, ledgers, fork_dir
+        self.running = [ledger.cumulative_totals() for ledger in ledgers]
+        _hold_heap()
+        self.train_scenes, self.val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
+        detector = build_detector(cfg.arch, init_seed=cfg.seed)
+        self.state = TrainState(detector, OptimState(), [], RunCache(detector, self.train_scenes))
+
+    def path(self, group: list) -> str:
+        """The file of the branch of `group` at the state's epoch: a trie
+        node, so no two branches of one walk share it."""
+        return os.path.join(self.fork_dir, f"{group[0]}-{len(self.state.records)}.bin")
+
+    def flops(self, group: list) -> int:
+        """The planned FLOPs left on the branch of `group` from the state's epoch."""
+        return _plan_branch(self.ledgers, group, len(self.state.records))[1]
+
+    def park(self, group: list) -> tuple:
+        """The state parked as the branch of `group`: (parked, group)."""
+        return self.state.park(self.path(group)), group
+
+    def finish(self, group: list) -> tuple:
+        """The finished leaf of `group` set aside: (parameter file, records)."""
+        save_checkpoint(self.state.detector, self.path(group))
+        return self.path(group), self.state.records
+
+    def train_branch(self, branch: tuple, split: Callable[[list, list], list]) -> Iterator[list]:
+        """Train a (parked state or None, runs) branch to its leaf, and yield
+        the runs it trains for after every epoch. Where they part, split
+        gets the frozen and the unfrozen side, parks one and returns the
+        other."""
+        parked, group = branch
+        cfg, state = self.cfg, self.state
+        if parked is not None:
+            state.resume(parked)
+        for epoch in range(len(state.records), cfg.total_epochs):
+            sides = _part(self.ledgers, group, epoch)
+            if all(sides):
+                group = split(*sides)
+            freeze = self.ledgers[group[0]].records[epoch].frozen
+            # Called through the module, in this positional order, so
+            # that a wrapper of experiment.train_epoch sees every epoch.
+            mean_loss, lr = train_epoch(
+                state.detector, self.train_scenes, epoch, freeze, state.optim,
+                lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=state.cache,
+            )
+            val_map = (evaluate_detector(state.detector, self.val_scenes, cfg.sgd.batch_size,
+                                         cache=state.cache).map50
+                       if cfg.evaluates(epoch) else None)
+            state.records.append(EpochRecord(epoch=epoch, frozen=freeze, mean_loss=mean_loss, lr=lr,
+                                             cum_flops=self.running[group[0]][epoch], val_map50=val_map))
+            yield group
+
+
+# What a worker's BLAS reads at start-up; each worker runs one thread.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# A worker is a fresh interpreter that runs this.
+_WORKER_CODE = "from freezelab.experiment import _work; _work()"
+
+
+def _send(fd: int, message) -> None:
+    """Write one message to a pipe: its pickle's length in 8 bytes, then
+    the pickle."""
+    data = pickle.dumps(message)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, n: int) -> bytes:
+    chunks = []
+    while n:
+        chunk = os.read(fd, n)
+        if not chunk:
+            raise EOFError("the pipe's writer has gone")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _receive(fd: int):
+    """Read one message that _send wrote, and nothing past it."""
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _work() -> None:
+    """A worker process of a walk, started by _Pool.start. Its stdin
+    brings the walk's (config, planned ledgers, fork directory), then one
+    branch at a time, each of which it trains to its leaf and answers with
+    ("leaf", (parameter file, records), runs). Where its runs part, it
+    keeps the side with more planned FLOPs left and sends the other back
+    for the walk's queue as ("park", branch, None). An exception goes back
+    as ("error", exception, None) and ends the worker. Messages go out on
+    what was stdout; anything printed goes to stderr. Ctrl-C is left to
+    the walk, which ends its workers."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    out = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        walk = _Walk(*_receive(0))
+
+        def split(*sides):
+            light, heavy = sorted(sides, key=walk.flops)
+            _send(out, ("park", walk.park(light), None))
+            return heavy
+
+        while True:
+            for group in walk.train_branch(_receive(0), split):
+                pass
+            _send(out, ("leaf", walk.finish(group), group))
+    except EOFError:  # the walk has gone
+        pass
+    except Exception as exc:
+        _send(out, ("error", exc, None))
+
+
+@dataclass
+class _Worker:
+    pid: int
+    to: int  # the write end of its stdin
+    back: int  # the read end of its stdout
+    group: Optional[list] = None  # the runs it trains, None while idle
+    exit_code: Optional[int] = None  # once it has been reaped
+
+
+class _Pool:
+    """The worker processes of one walk, none until `start`. Each is a
+    fresh interpreter (see _work) that trains one branch at a time.
+    Leaving the pool ends and reaps every worker."""
+
+    def __init__(self, cfg: ExperimentConfig, ledgers: Sequence[FlopsLedger], fork_dir: str, names: list):
+        self.setup = (cfg, ledgers, fork_dir)
+        self.names = names
+        self.workers: list[_Worker] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for worker in self.workers:
+            if worker.exit_code is None:
+                os.kill(worker.pid, signal.SIGTERM)
+        for worker in self.workers:
+            self._reap(worker)
+            os.close(worker.to)
+            os.close(worker.back)
+
+    def start(self, n: int) -> None:
+        """Start n workers with os.posix_spawn. A worker inherits nothing
+        of this interpreter (no monkeypatch, no tape, no BLAS threads): it
+        imports freezelab from where this process did, with its BLAS at one
+        thread from its first import of numpy on."""
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        for _ in range(n):
+            stdin, to = os.pipe()
+            back, stdout = os.pipe()
+            try:
+                pid = os.posix_spawn(sys.executable, [sys.executable, "-c", _WORKER_CODE], env,
+                                     file_actions=[(os.POSIX_SPAWN_DUP2, stdin, 0),
+                                                   (os.POSIX_SPAWN_DUP2, stdout, 1)])
+            except BaseException:
+                os.close(to)
+                os.close(back)
+                raise
+            finally:
+                os.close(stdin)
+                os.close(stdout)
+            self.workers.append(_Worker(pid, to, back))
+            self._talk(self.workers[-1], _send, to, self.setup)
+
+    def busy(self) -> bool:
+        return any(worker.group for worker in self.workers)
+
+    def serve(self, queue: list, finished: dict, block: bool = False) -> None:
+        """Take in what the workers sent (parked branches onto `queue`,
+        finished leaves into `finished` by their first run), waiting for a
+        message when `block`; then hand each idle worker the queued branch
+        with the most planned FLOPs left."""
+        if not self.workers:
+            return
+        import select
+
+        by_fd = {worker.back: worker for worker in self.workers}
+        for fd in select.select(list(by_fd), [], [], None if block else 0)[0]:
+            worker = by_fd[fd]
+            kind, body, runs = self._talk(worker, _receive, fd)
+            if kind == "error":
+                raise body
+            if kind == "park":
+                queue.append(body)
+                worker.group = [i for i in worker.group if i not in body[1]]
+            else:
+                finished[runs[0]] = body
+                worker.group = None
+        for worker in self.workers:
+            if worker.group is None and queue:
+                branch = _heaviest(queue, self.setup[1])
+                worker.group = branch[1]
+                self._talk(worker, _send, worker.to, branch)
+
+    def _talk(self, worker: _Worker, action, *args):
+        """action(*args) on one of the worker's pipes; a broken pipe means
+        that the worker died, which is one error that names its runs."""
+        try:
+            return action(*args)
+        except (EOFError, OSError):
+            self._reap(worker)
+            runs = ", ".join(self.names[i] for i in worker.group or []) or "no run"
+            raise RuntimeError(f"a worker process died (exit code {worker.exit_code}) "
+                               f"while it trained {runs}") from None
+
+    def _reap(self, worker: _Worker) -> None:
+        if worker.exit_code is None:
+            worker.exit_code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+
+
 def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]]]) -> Iterator[RunResult]:
     """Train runs that differ only in schedule and output_dir, each shared
     prefix of their freeze signals once, and yield each run's RunResult.
 
-    `runs` holds (config, baseline ledger or None) pairs. Each run's
-    ledger is planned from its config (plan_ledger) before training; a
-    baseline fills that run's summary delta and must describe a run of the
-    same shape, which is checked against the planned ledger. The walk goes
-    depth first through the trie of the runs' planned freeze flags.
-    Where they part, the runs whose next epoch is frozen go on from the
-    live state and keep its feature stores; the others, whose next epoch
-    drops the stores anyway, are parked (see TrainState.park) until that
-    branch is done, in a temporary directory that goes when the walk ends
-    or raises. Runs with one sequence share a leaf, which writes their run
-    directories, then yields their results: results come in the order the
-    walk finishes them. Every run directory holds the bytes an independent
-    run writes.
+    `runs` holds (config, baseline ledger or None) pairs; no two may name
+    one output_dir. Each run's ledger is planned from its config
+    (plan_ledger) before training; a baseline fills that run's summary
+    delta and must describe a run of the same shape, which is checked
+    against the planned ledger. The walk goes through the trie of the
+    runs' planned freeze flags. Where they part, one side goes on from the
+    live state and the other is parked (see TrainState.park) in a
+    temporary directory that goes when the walk ends or raises. Runs with
+    one sequence share a leaf. Every run directory holds the bytes an
+    independent run writes.
 
-    The results share one Detector, which the walk moves on to the next
-    branch: read a result's detector before asking for the next result.
-    Before the data is generated, the process's heap policy is set (see
-    _hold_heap).
+    On one core the side whose next epoch is frozen goes on, keeping the
+    feature stores, and the last parked branch is the next. Where cores
+    are spare, the first park starts min(_spare_cores(), leaves - 1)
+    worker processes (see _Pool and _work; each costs about 50 MB). Then
+    an idle process takes the queued branch with the most planned ledger
+    FLOPs left, and at a split this process parks the heavier side and
+    keeps the lighter one, while a worker keeps the heavier one. So the
+    long unfrozen tails go to the workers, and this process, whose epochs
+    alone a wrapper of train_epoch sees, trains mostly frozen ones.
+    Results come in the one-process walk's order, and this process writes
+    each run directory as its result is yielded, so no output depends on
+    the core count. Leaving the walk in any way ends its workers; a
+    worker that dies is an error that names its runs.
+
+    A result's detector is valid until the next result is asked for.
     """
     runs = list(runs)
     if not runs:
@@ -487,53 +763,67 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     for other, _ in runs[1:]:
         if replace(other, schedule=cfg.schedule, output_dir=cfg.output_dir) != cfg:
             raise ValueError("runs trained together may differ only in schedule and output_dir")
+    named = set()
+    for other, _ in runs:
+        if other.output_dir is not None:
+            if os.path.abspath(other.output_dir) in named:
+                raise ValueError(f"runs trained together must write different run directories; "
+                                 f"two name {other.output_dir}")
+            named.add(os.path.abspath(other.output_dir))
     ledgers = [plan_ledger(c) for c, _ in runs]
     for (_, baseline), ledger in zip(runs, ledgers):
         if baseline is not None:  # reject a mismatch before training
             delta_flops(ledger, baseline)
-    running = [ledger.cumulative_totals() for ledger in ledgers]
+    every = list(range(len(runs)))
+    leaves = _plan_branch(ledgers, every, 0)[0]  # in the order results are yielded
+    names = [c.output_dir or c.schedule.describe() for c, _ in runs]
 
-    _hold_heap()
-    train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
-    detector = build_detector(cfg.arch, init_seed=cfg.seed)
-    state = TrainState(detector, OptimState(), [], RunCache(detector, train_scenes))
-    with tempfile.TemporaryDirectory(prefix="freezelab-fork-") as fork_dir:
-        branches = [(None, list(range(len(runs))))]  # (parked state, indices of its runs)
-        while branches:
-            parked, group = branches.pop()
-            if parked is not None:
-                state.resume(parked)
-            for epoch in range(len(state.records), cfg.total_epochs):
-                unfrozen = [i for i in group if not ledgers[i].records[epoch].frozen]
-                if 0 < len(unfrozen) < len(group):
-                    branches.append((state.park(os.path.join(fork_dir, f"{len(branches)}.bin")), unfrozen))
-                    group = [i for i in group if ledgers[i].records[epoch].frozen]
-                freeze = ledgers[group[0]].records[epoch].frozen
-                # Called through the module, in this positional order, so
-                # that a wrapper of experiment.train_epoch sees every epoch.
-                mean_loss, lr = train_epoch(
-                    detector, train_scenes, epoch, freeze, state.optim,
-                    lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=state.cache,
-                )
-                val_map = (evaluate_detector(detector, val_scenes, cfg.sgd.batch_size, cache=state.cache).map50
-                           if cfg.evaluates(epoch) else None)
-                state.records.append(EpochRecord(epoch=epoch, frozen=freeze, mean_loss=mean_loss, lr=lr,
-                                                 cum_flops=running[group[0]][epoch], val_map50=val_map))
-            yield from _finish_leaf(state, [(*runs[i], ledgers[i]) for i in group])
+    def results(group, records, detector):
+        # the results of a finished leaf, with their run directories written
+        out = []
+        for i in group:
+            (run_cfg, baseline), ledger = runs[i], ledgers[i]
+            out.append(RunResult(records=records, ledger=ledger, detector=detector, config=run_cfg,
+                                 summary=summarize_run(run_cfg, records, ledger, baseline)))
+            if run_cfg.output_dir is not None:
+                write_run_dir(out[-1])
+        return out
 
+    with tempfile.TemporaryDirectory(prefix="freezelab-fork-") as fork_dir, \
+            _Pool(cfg, ledgers, fork_dir, names) as pool:
+        walk = _Walk(cfg, ledgers, fork_dir)
+        queue = [(None, every)]  # parked branches: (parked state or None, runs)
+        finished = {}  # first run of a leaf -> (parameter file, records), until its turn
 
-def _finish_leaf(state: TrainState, runs) -> list:
-    """The results of `runs`, (config, baseline, planned ledger) triples
-    that share the finished `state`, with their run directories written."""
-    results = []
-    for cfg, baseline, ledger in runs:
-        result = RunResult(records=state.records, ledger=ledger,
-                           detector=state.detector, config=cfg,
-                           summary=summarize_run(cfg, state.records, ledger, baseline))
-        if cfg.output_dir is not None:
-            write_run_dir(result)
-        results.append(result)
-    return results
+        def split(frozen, unfrozen):
+            if not pool.workers and _spare_cores() > 0:
+                pool.start(min(_spare_cores(), len(leaves) - 1))
+            keep, park = sorted((frozen, unfrozen), key=walk.flops) if pool.workers else (frozen, unfrozen)
+            queue.append(walk.park(park))
+            pool.serve(queue, finished)
+            return keep
+
+        def turns():
+            # the results of every leaf whose turn has come
+            while leaves and leaves[0][0] in finished:
+                path, records = finished.pop(leaves[0][0])
+                detector = build_detector(cfg.arch, init_seed=cfg.seed)
+                restore_checkpoint(detector, path)
+                os.remove(path)
+                yield from results(leaves.pop(0), records, detector)
+
+        while queue or pool.busy():
+            if not queue:
+                pool.serve(queue, finished, block=True)
+            else:
+                for group in walk.train_branch(_heaviest(queue, ledgers) if pool.workers else queue.pop(), split):
+                    pool.serve(queue, finished)
+                    yield from turns()
+                if leaves[0] == group:
+                    yield from results(leaves.pop(0), walk.state.records, walk.state.detector)
+                else:
+                    finished[group[0]] = walk.finish(group)
+            yield from turns()
 
 
 def run_experiment(cfg: ExperimentConfig, baseline_ledger: Optional[FlopsLedger] = None) -> RunResult:

@@ -61,10 +61,18 @@ def _distinct_prefixes(cfgs):
     return len({s[: e + 1] for s in signals for e in range(len(s))})
 
 
+def _one_process(monkeypatch):
+    """Pin the walk to this process, where a monkeypatch can watch it: a
+    worker is spawned, so it sees no monkeypatch."""
+    monkeypatch.setattr(experiment, "_spare_cores", lambda: 0)
+
+
 def _count_epochs(monkeypatch, fail_at=None):
-    """Wrap experiment.train_epoch; return the list of (epoch, freeze,
-    samples) it saw, read from the positional arguments. With fail_at,
-    the call of that number raises instead."""
+    """Pin the walk to this process and wrap experiment.train_epoch;
+    return the list of (epoch, freeze, samples) it saw, read from the
+    positional arguments. With fail_at, the call of that number raises
+    instead."""
+    _one_process(monkeypatch)
     seen = []
     real = experiment.train_epoch
 
@@ -118,6 +126,7 @@ def test_a_walk_that_forks_at_epoch_0_writes_the_bytes_of_independent_runs(tmp_p
         return [replace(base, schedule=spec, output_dir=str(tmp_path / root / str(i)))
                 for i, spec in enumerate(schedules)]
 
+    _one_process(monkeypatch)
     monkeypatch.setattr(experiment.TrainState, "park", park)
     list(run_experiments([(cfg, None) for cfg in cfgs("forked")]))
     monkeypatch.undo()
@@ -232,6 +241,7 @@ def test_stores_are_dropped_before_a_parked_branch_resumes(tmp_path, monkeypatch
         emptied.append(cache.train is None and cache.val is None)
         return real_restore(detector, path)
 
+    _one_process(monkeypatch)
     monkeypatch.setattr(experiment, "RunCache", Recorded)
     monkeypatch.setattr(experiment, "restore_checkpoint", restore)
     base = _base()
@@ -253,6 +263,20 @@ def test_runs_trained_together_may_differ_only_in_schedule_and_output_dir():
                   replace(base, seed=1, scene=replace(base.scene, seed=1))):
         with pytest.raises(ValueError, match="may differ only in schedule and output_dir"):
             list(run_experiments([(base, None), (other, None)]))
+
+
+def test_runs_trained_together_may_not_share_an_output_dir(tmp_path, monkeypatch):
+    # Both used to be trained and yielded, and the one summary.csv held
+    # the later run's row.
+    base = _base(epochs=3, n_train=8, n_val=4)
+    out = str(tmp_path / "run")
+    seen = _count_epochs(monkeypatch)
+    runs = [(replace(base, schedule=spec, output_dir=out), None)
+            for spec in (ScheduleSpec([(math.inf, 1)]), ScheduleSpec([(1, 1), (math.inf, math.inf)]))]
+    with pytest.raises(ValueError, match="must write different run directories") as exc:
+        list(run_experiments(runs))
+    assert out in str(exc.value)
+    assert seen == [] and not os.path.exists(out)
 
 
 def test_run_experiments_rejects_a_baseline_of_another_shape_before_training(monkeypatch):

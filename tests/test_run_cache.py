@@ -176,6 +176,7 @@ def _count_backbone_runs(monkeypatch, cfg):
         images(batch)
         return real_features(d, batch)
 
+    monkeypatch.setattr(experiment, "_spare_cores", lambda: 0)  # a worker would see no monkeypatch
     monkeypatch.setattr(experiment, "train_epoch", counted("train", experiment.train_epoch))
     monkeypatch.setattr(experiment, "evaluate_detector", counted("eval", experiment.evaluate_detector))
     monkeypatch.setattr(experiment, "detector_forward", forward)

@@ -3,7 +3,10 @@ sibling's private (underscore) name, only `experiment` reads or writes
 CSV, `flops` does no file I/O, the backbone runs off the tape only in
 `model.backbone_features`, a ledger record has the fields of a
 `ledger.csv` row, the one process-wide setting (the heap policy, the
-only use of `ctypes`) is made in `experiment.run_experiments`, and the
+only use of `ctypes`) is made by the walk (`experiment._Walk`, which
+`run_experiments` and each of its workers make), only the walk starts a
+process (`os.posix_spawn` in `experiment._Pool.start`) and `import
+freezelab` imports no `multiprocessing`, `subprocess` or `select`, and the
 binary layout has one home: only `model` imports `struct`, and a
 checkpoint-codec file is read back only by `model.restore_checkpoint`
 and by `TrainState.resume`. A schedule is expanded into per-epoch freeze
@@ -24,7 +27,7 @@ computed once: only `experiment.plan_ledger` and
 reads each epoch's freeze flag and running total from the planned
 ledger without re-expanding the schedule or re-summing the ledger per
 epoch, and the evaluation cadence (`ExperimentConfig.evaluates`) is read
-only by the walk and by that same check. An evaluation is scored with
+only by the walk's epoch loop and by that same check. An evaluation is scored with
 arrays: `model.decode_predictions` and `evaluation.average_precision`
 hold no `for` or `while` loop, and only `experiment.evaluate_detector`
 decodes, once per evaluation. A run directory has one reader: only
@@ -33,6 +36,8 @@ decodes, once per evaluation. A run directory has one reader: only
 directory to its config's plan alike."""
 
 import ast
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -120,9 +125,11 @@ def test_the_heap_policy_is_the_one_process_setting_and_run_experiments_makes_it
             if any(src == "ctypes" for src, _ in _imports(_tree(module)))] == ["experiment"]
     callers = {name: {(module, function) for module in MODULES
                       for function in _calls_by_function(_tree(module), name)}
-               for name in ("mallopt", "_hold_heap")}
+               for name in ("mallopt", "_hold_heap", "_Walk")}
     assert callers == {"mallopt": {("experiment", "_hold_heap")},
-                       "_hold_heap": {("experiment", "run_experiments")}}
+                       "_hold_heap": {("experiment", "__init__")},
+                       "_Walk": {("experiment", "run_experiments"), ("experiment", "_work")}}
+    assert _calls_by_function(_walk_class(), "_hold_heap") == ["__init__"]
 
 
 def test_the_binary_layout_lives_in_model_and_two_functions_read_it():
@@ -174,7 +181,7 @@ def test_a_config_is_checked_where_it_is_made():
 
 @pytest.mark.parametrize("name,callers", [
     ("freeze_signals", [("experiment", "plan_ledger"), ("flops", "estimate_training_time")]),
-    ("evaluates", [("experiment", "_check_curves"), ("experiment", "run_experiments")]),
+    ("evaluates", [("experiment", "_check_curves"), ("experiment", "train_branch")]),
     ("lr_at", [("experiment", "_check_curves"), ("experiment", "train_epoch")]),
 ])
 def test_a_run_is_planned_once_and_its_cadence_has_two_readers(name, callers):
@@ -182,13 +189,19 @@ def test_a_run_is_planned_once_and_its_cadence_has_two_readers(name, callers):
                   for function in _calls_by_function(_tree(module), name)) == callers
 
 
+def _walk_class():
+    (walk,) = [node for node in _tree("experiment").body if isinstance(node, ast.ClassDef) and node.name == "_Walk"]
+    return walk
+
+
 def test_the_walk_neither_expands_a_schedule_nor_sums_a_ledger_per_epoch():
-    (walk,) = [node for node in _tree("experiment").body
-               if isinstance(node, ast.FunctionDef) and node.name == "run_experiments"]
+    (entry,) = [node for node in _tree("experiment").body
+                if isinstance(node, ast.FunctionDef) and node.name == "run_experiments"]
+    walk = ast.Module(body=[entry, _walk_class()], type_ignores=[])
     in_loops = {name for loop in ast.walk(walk) if isinstance(loop, (ast.For, ast.While))
                 for name in ("freeze_signals", "cumulative_totals") if _calls_by_function(loop, name)}
     assert in_loops == set()
-    assert _calls_by_function(walk, "cumulative_totals") == ["run_experiments"]
+    assert _calls_by_function(walk, "cumulative_totals") == ["__init__"]
 
 
 @pytest.mark.parametrize("module,name", [
@@ -206,3 +219,28 @@ def test_one_function_reads_a_run_directory(name):
     callers = [(module, function) for module in MODULES
                for function in _calls_by_function(_tree(module), name)]
     assert callers == [("experiment", "read_run_dir")]
+
+
+# The modules and calls through which a module could start a process.
+PROCESS_MODULES = {"multiprocessing", "subprocess", "concurrent", "pty"}
+PROCESS_CALLS = {"fork", "forkpty", "system", "popen", "posix_spawn", "posix_spawnp", "spawnv", "spawnve",
+                 "spawnvp", "spawnvpe", "spawnl", "spawnle", "spawnlp", "spawnlpe", "execv", "execve",
+                 "execvp", "execvpe", "execl", "execle", "execlp", "execlpe"}
+
+
+def test_only_the_walk_starts_a_process_and_the_package_imports_no_multiprocessing():
+    assert [(module, src) for module in MODULES for src, _ in _imports(_tree(module))
+            if src.split(".")[0] in PROCESS_MODULES] == []
+    assert sorted((module, name, function) for module in MODULES for name in PROCESS_CALLS
+                  for function in _calls_by_function(_tree(module), name)) == [
+        ("experiment", "posix_spawn", "start")]
+    (pool,) = [node for node in _tree("experiment").body if isinstance(node, ast.ClassDef) and node.name == "_Pool"]
+    assert _calls_by_function(pool, "posix_spawn") == ["start"]
+    # in a fresh interpreter, since this one has imported them for pytest
+    code = ("import sys, freezelab, " + ", ".join(f"freezelab.{m}" for m in MODULES if m != "__init__")
+            + "; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            + repr(PROCESS_MODULES | {"select"}) + "))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
