@@ -464,7 +464,7 @@ def _hold_heap() -> None:
 
 def _spare_cores() -> int:
     """The cores this process may run on, less the one it trains on: the
-    most worker processes a walk starts (see run_experiments). None where
+    most worker processes a walk starts (see run_experiments). 0 where
     os.posix_spawn, which starts them, is missing."""
     if not hasattr(os, "posix_spawn"):
         return 0
@@ -481,8 +481,8 @@ def _part(ledgers: Sequence[FlopsLedger], group: list, epoch: int) -> tuple[list
 def _plan_branch(ledgers: Sequence[FlopsLedger], group: list, epoch: int) -> tuple[list, int]:
     """(leaves, flops) of the branch that trains the runs `group` from
     `epoch` on: the groups of runs that share each leaf, in the order the
-    one-process walk finishes them (the frozen side of every split first),
-    and the planned ledger FLOPs of training each epoch of the branch once."""
+    walk yields their results (the frozen side of every split first), and
+    the planned ledger FLOPs of training each epoch of the branch once."""
     flops = 0
     for e in range(epoch, len(ledgers[group[0]].records)):
         sides = _part(ledgers, group, e)
@@ -594,19 +594,21 @@ def _receive(fd: int):
 
 def _work() -> None:
     """A worker process of a walk, started by _Pool.start. Its stdin
-    brings the walk's (config, planned ledgers, fork directory), then one
-    branch at a time, each of which it trains to its leaf and answers with
-    ("leaf", (parameter file, records), runs). Where its runs part, it
-    keeps the side with more planned FLOPs left and sends the other back
-    for the walk's queue as ("park", branch, None). An exception goes back
-    as ("error", exception, None) and ends the worker. Messages go out on
-    what was stdout; anything printed goes to stderr. Ctrl-C is left to
-    the walk, which ends its workers."""
+    brings the walk's (config, planned ledgers, fork directory); once it
+    has built its _Walk from them it sends ("ready", None, None), and only
+    then is it handed a branch. Each branch it trains to its leaf and
+    answers with ("leaf", (parameter file, records), runs). Where its runs
+    part, it keeps the side with more planned FLOPs left and sends the
+    other back for the walk's queue as ("park", branch, None). An
+    exception goes back as ("error", exception, None) and ends the worker.
+    Messages go out on what was stdout; anything printed goes to stderr.
+    Ctrl-C is left to the walk, which ends its workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     out = os.dup(1)
     os.dup2(2, 1)
     try:
         walk = _Walk(*_receive(0))
+        _send(out, ("ready", None, None))
 
         def split(*sides):
             light, heavy = sorted(sides, key=walk.flops)
@@ -628,6 +630,7 @@ class _Worker:
     pid: int
     to: int  # the write end of its stdin
     back: int  # the read end of its stdout
+    ready: bool = False  # once it has sent its ready message
     group: Optional[list] = None  # the runs it trains, None while idle
     exit_code: Optional[int] = None  # once it has been reaped
 
@@ -683,10 +686,10 @@ class _Pool:
         return any(worker.group for worker in self.workers)
 
     def serve(self, queue: list, finished: dict, block: bool = False) -> None:
-        """Take in what the workers sent (parked branches onto `queue`,
-        finished leaves into `finished` by their first run), waiting for a
-        message when `block`; then hand each idle worker the queued branch
-        with the most planned FLOPs left."""
+        """Take in what the workers sent (ready messages, parked branches
+        onto `queue`, finished leaves into `finished` by their first run),
+        waiting for a message when `block`; then hand each ready and idle
+        worker the queued branch with the most planned FLOPs left."""
         if not self.workers:
             return
         import select
@@ -697,14 +700,16 @@ class _Pool:
             kind, body, runs = self._talk(worker, _receive, fd)
             if kind == "error":
                 raise body
-            if kind == "park":
+            if kind == "ready":
+                worker.ready = True
+            elif kind == "park":
                 queue.append(body)
                 worker.group = [i for i in worker.group if i not in body[1]]
             else:
                 finished[runs[0]] = body
                 worker.group = None
         for worker in self.workers:
-            if worker.group is None and queue:
+            if worker.ready and worker.group is None and queue:
                 branch = _heaviest(queue, self.setup[1])
                 worker.group = branch[1]
                 self._talk(worker, _send, worker.to, branch)
@@ -740,21 +745,21 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     one sequence share a leaf. Every run directory holds the bytes an
     independent run writes.
 
-    On one core the side whose next epoch is frozen goes on, keeping the
-    feature stores, and the last parked branch is the next. Where cores
-    are spare, the first park starts min(_spare_cores(), leaves - 1)
-    worker processes (see _Pool and _work; each costs about 50 MB). Then
-    an idle process takes the queued branch with the most planned ledger
-    FLOPs left, and at a split this process parks the heavier side and
-    keeps the lighter one, while a worker keeps the heavier one. So the
-    long unfrozen tails go to the workers, and this process, whose epochs
-    alone a wrapper of train_epoch sees, trains mostly frozen ones.
-    Results come in the one-process walk's order, and this process writes
+    One rule holds at any core count. The walk starts by starting
+    min(_spare_cores(), leaves - 1) worker processes (see _Pool and _work;
+    each costs about 50 MB), and none for one leaf. Parked branches wait
+    in one queue, and an idle process takes the one with the most planned
+    ledger FLOPs left; a worker is handed one only once it is ready, so a
+    walk whose workers are still starting, or that has none, takes its
+    own parked branches back. At a split this process parks the heavier
+    side and keeps the lighter one, while a worker keeps the heavier one.
+    So the long unfrozen tails go to the workers, and this process, whose
+    epochs alone a wrapper of train_epoch sees, trains mostly frozen ones.
+    Every finished leaf waits for its turn: results come in _plan_branch's
+    leaf order, each with a detector of its own, and this process writes
     each run directory as its result is yielded, so no output depends on
     the core count. Leaving the walk in any way ends its workers; a
     worker that dies is an error that names its runs.
-
-    A result's detector is valid until the next result is asked for.
     """
     runs = list(runs)
     if not runs:
@@ -778,51 +783,42 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     leaves = _plan_branch(ledgers, every, 0)[0]  # in the order results are yielded
     names = [c.output_dir or c.schedule.describe() for c, _ in runs]
 
-    def results(group, records, detector):
-        # the results of a finished leaf, with their run directories written
-        out = []
-        for i in group:
-            (run_cfg, baseline), ledger = runs[i], ledgers[i]
-            out.append(RunResult(records=records, ledger=ledger, detector=detector, config=run_cfg,
-                                 summary=summarize_run(run_cfg, records, ledger, baseline)))
-            if run_cfg.output_dir is not None:
-                write_run_dir(out[-1])
-        return out
-
     with tempfile.TemporaryDirectory(prefix="freezelab-fork-") as fork_dir, \
             _Pool(cfg, ledgers, fork_dir, names) as pool:
+        pool.start(min(_spare_cores(), len(leaves) - 1))
         walk = _Walk(cfg, ledgers, fork_dir)
         queue = [(None, every)]  # parked branches: (parked state or None, runs)
         finished = {}  # first run of a leaf -> (parameter file, records), until its turn
 
-        def split(frozen, unfrozen):
-            if not pool.workers and _spare_cores() > 0:
-                pool.start(min(_spare_cores(), len(leaves) - 1))
-            keep, park = sorted((frozen, unfrozen), key=walk.flops) if pool.workers else (frozen, unfrozen)
+        def split(*sides):
+            keep, park = sorted(sides, key=walk.flops)
             queue.append(walk.park(park))
             pool.serve(queue, finished)
             return keep
 
         def turns():
-            # the results of every leaf whose turn has come
+            # the results of every leaf whose turn has come, with their run directories written
             while leaves and leaves[0][0] in finished:
                 path, records = finished.pop(leaves[0][0])
                 detector = build_detector(cfg.arch, init_seed=cfg.seed)
                 restore_checkpoint(detector, path)
                 os.remove(path)
-                yield from results(leaves.pop(0), records, detector)
+                for i in leaves.pop(0):
+                    (run_cfg, baseline), ledger = runs[i], ledgers[i]
+                    result = RunResult(records=records, ledger=ledger, detector=detector, config=run_cfg,
+                                       summary=summarize_run(run_cfg, records, ledger, baseline))
+                    if run_cfg.output_dir is not None:
+                        write_run_dir(result)
+                    yield result
 
         while queue or pool.busy():
             if not queue:
                 pool.serve(queue, finished, block=True)
             else:
-                for group in walk.train_branch(_heaviest(queue, ledgers) if pool.workers else queue.pop(), split):
+                for group in walk.train_branch(_heaviest(queue, ledgers), split):
                     pool.serve(queue, finished)
                     yield from turns()
-                if leaves[0] == group:
-                    yield from results(leaves.pop(0), walk.state.records, walk.state.detector)
-                else:
-                    finished[group[0]] = walk.finish(group)
+                finished[group[0]] = walk.finish(group)
             yield from turns()
 
 

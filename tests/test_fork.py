@@ -178,14 +178,17 @@ def test_grid_prints_each_seeds_runs_in_period_order(tmp_path, capsys):
     assert runs == [f"rho={r} seed={s}" for s in (3, 1) for r in ("1", "2", "5", "10", "inf")]
 
 
-# The walk of the 8-epoch grid at switch 4 (18 train_epoch calls): epochs
-# 0-3 shared; epoch 4 parks {1, 2} and trains {5, 10, inf} frozen; epoch
-# 5 parks {5}; {10, inf} finish (call 8); {5} resumes (calls 9-11); {1, 2}
-# resumes, parks {1} at epoch 5, {2} finishes (call 15); {1} is last.
+# The walk of the 8-epoch grid at switch 4 (18 train_epoch calls): at
+# every split the heavier side is parked and the heaviest parked branch is
+# next. Epochs 0-3 shared; epoch 4 parks {1, 2} and trains {5, 10, inf}
+# frozen; epoch 5 parks {5}; {10, inf} finish (call 8) and are yielded;
+# {1, 2} resumes (call 9), parks {1} at epoch 5, {2} finishes (call 12);
+# {1} resumes and finishes (call 15); {5} is last (calls 16-18). {2} and {1}
+# wait for {5}, whose results come first.
 @pytest.mark.parametrize("fail_at,finished", [
-    (9, ("10", "inf")),                # {1, 2} still parked
-    (13, ("10", "inf", "5")),          # {1} parked inside the resumed branch
-    (18, ("10", "inf", "5", "2")),     # nothing parked, last epoch of rho=1
+    (9, ("10", "inf")),     # {5} and {1, 2} parked
+    (13, ("10", "inf")),    # {2} finished, waiting for its turn; {5} parked
+    (18, ("10", "inf")),    # nothing parked, {2} and {1} waiting; last epoch of rho=5
 ])
 def test_a_failing_walk_leaves_no_parked_state_and_no_unfinished_run(tmp_path, monkeypatch, capsys,
                                                                      fail_at, finished):
@@ -230,15 +233,18 @@ def test_stores_are_dropped_before_a_parked_branch_resumes(tmp_path, monkeypatch
     emptied = []
 
     class Recorded(experiment.RunCache):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, detector, *args):
+            super().__init__(detector, *args)
+            self.detector = detector
             caches.append(self)
 
     real_restore = experiment.restore_checkpoint
 
     def restore(detector, path):
+        # a resume; a finished leaf is read into a detector of its own
         [cache] = caches
-        emptied.append(cache.train is None and cache.val is None)
+        if detector is cache.detector:
+            emptied.append(cache.train is None and cache.val is None)
         return real_restore(detector, path)
 
     _one_process(monkeypatch)
@@ -251,8 +257,8 @@ def test_stores_are_dropped_before_a_parked_branch_resumes(tmp_path, monkeypatch
         assert (tmp_path / "seed_0" / f"rho_{format_rho(result.config.schedule.rho_at(4))}"
                 / "checkpoint.bin").exists()
         order.append(format_rho(result.config.schedule.rho_at(4)))
-    # frozen-next branches first; rho=10 and rho=inf share the first leaf,
-    # whose frozen epochs leave both stores filled
+    # results come frozen side first; rho=10 and rho=inf share the first
+    # leaf trained, whose frozen epochs leave both stores filled
     assert order == ["10", "inf", "5", "2", "1"]
     assert emptied == [True, True, True]
 

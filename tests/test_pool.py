@@ -11,6 +11,7 @@ process and no parked file behind.
 
 import math
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -43,8 +44,19 @@ def _cfgs(root):
 
 
 def _processes(monkeypatch, n):
-    """Let the walk use n processes: itself and n - 1 workers."""
+    """Let the walk use n processes: itself and n - 1 workers, each of
+    which has sent its ready message before the walk's first epoch, so
+    that what a worker trains does not depend on how fast it starts.
+    The wait watches the pipe and reads nothing from it."""
     monkeypatch.setattr(experiment, "_spare_cores", lambda: n - 1)
+    real_start = experiment._Pool.start
+
+    def start(self, count):
+        real_start(self, count)
+        for worker in self.workers:
+            assert select.select([worker.back], [], [], 60)[0], "a worker sent nothing for 60 s"
+
+    monkeypatch.setattr(experiment._Pool, "start", start)
 
 
 @pytest.fixture
@@ -200,7 +212,7 @@ class Stop(BaseException):
 
 
 @pytest.mark.parametrize("fail_at,error", [
-    (1, Stop),           # the first epoch: no worker has started
+    (1, Stop),           # the first epoch: the worker is ready and idle
     (6, Stop),           # epoch 5 of {5, 10, inf}: the worker trains {1, 2}
     (6, RuntimeError),
 ])
@@ -264,23 +276,54 @@ def test_a_walk_with_one_leaf_starts_no_worker(tmp_path, monkeypatch, temp_root)
     cfgs = _cfgs(tmp_path / "runs")
     run_experiment(cfgs[0])
     list(run_experiments([(cfgs[3], None), (replace(cfgs[4], output_dir=None), None)]))  # 16 epochs: they part
-    assert started == [1]
-    started.clear()
     run_experiment(cfgs[4])
-    assert started == []
+    assert started == [0, 1, 0]
     _clean(temp_root)
+
+
+def test_a_worker_that_never_becomes_ready_is_never_waited_for(tmp_path, monkeypatch, temp_root):
+    # The walk takes its parked branches back, writes the bytes of the
+    # one-process walk and ends the worker. The alarm turns a walk that
+    # waits for the worker into a failure instead of a hang.
+    def too_slow(signum, frame):
+        raise TimeoutError("the walk waited for a worker that was never ready")
+
+    monkeypatch.setattr(experiment, "_WORKER_CODE", "import time; time.sleep(60)")
+    outputs = {}
+    for n in (2, 1):
+        monkeypatch.setattr(experiment, "_spare_cores", lambda: n - 1)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(30)
+        try:
+            order = [os.path.basename(r.config.output_dir)
+                     for r in run_experiments([(cfg, None) for cfg in _cfgs(tmp_path / str(n))])]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert order == ["rho_inf", "rho_10", "rho_5", "rho_2", "rho_1"]
+        root = str(tmp_path / str(n)).encode()
+        outputs[n] = [(tmp_path / str(n) / label / name).read_bytes().replace(root, b"ROOT")
+                      for label in LABELS for name in RUN_FILES]
+        _clean(temp_root)
+    assert outputs[2] == outputs[1]
 
 
 # A walk in a process that found freezelab through sys.path alone, as a
 # script that inserts the source directory does; it prints the results'
 # order and how many epochs it trained itself.
 FOUND_BY_SYS_PATH = """
-import math, sys
+import math, select, sys
 sys.path.insert(0, sys.argv[1])
 from freezelab import experiment
 from freezelab.data import SceneConfig
 from freezelab.schedule import ScheduleSpec
 experiment._spare_cores = lambda: 1
+real_start = experiment._Pool.start
+def start(self, n):  # wait for each worker's ready message, as the tests do
+    real_start(self, n)
+    for worker in self.workers:
+        select.select([worker.back], [], [], 60)
+experiment._Pool.start = start
 seen = []
 real = experiment.train_epoch
 experiment.train_epoch = lambda *args, **kwargs: seen.append(args[2]) or real(*args, **kwargs)
