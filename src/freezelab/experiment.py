@@ -12,9 +12,10 @@ Runs that share a freeze prefix train it once, and where spare cores
 exist the branches they part into train in worker processes (see
 run_experiments); neither changes an output byte.
 
-This module also reads and writes every table file of a run or grid
-directory (curves, ledger, summary, grid summary, delta map) in one CSV
-format; the checkpoint's binary layout lives in model.
+This module also writes every table file of a run or grid directory
+(curves, ledger, summary, grid summary, delta map) in one CSV format,
+and reads a run directory back held to its config's plan; the
+checkpoint's binary layout lives in model.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .autodiff import Tape, Tensor, backward
 from .data import Scene, SceneConfig, generate_dataset
 from .evaluation import EvalReport, map50
-from .flops import EpochFlopsRecord, FlopsLedger, TimeModel, delta_flops, estimate_training_time
+from .flops import FlopsLedger, TimeModel, delta_flops, estimate_training_time
 from .model import (
     Detector,
     PredictionGrid,
@@ -88,7 +89,6 @@ __all__ = [
     "write_curves_csv",
     "read_curves_csv",
     "write_ledger_csv",
-    "read_ledger_csv",
     "write_summary_csv",
     "read_summary_csv",
     "write_run_dir",
@@ -756,10 +756,10 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     So the long unfrozen tails go to the workers, and this process, whose
     epochs alone a wrapper of train_epoch sees, trains mostly frozen ones.
     Every finished leaf waits for its turn: results come in _plan_branch's
-    leaf order, each with a detector of its own, and this process writes
-    each run directory as its result is yielded, so no output depends on
-    the core count. Leaving the walk in any way ends its workers; a
-    worker that dies is an error that names its runs.
+    leaf order, each with a detector and records of its own, and this
+    process writes each run directory as its result is yielded, so no
+    output depends on the core count. Leaving the walk in any way ends its
+    workers; a worker that dies is an error that names its runs.
     """
     runs = list(runs)
     if not runs:
@@ -800,16 +800,16 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
             # the results of every leaf whose turn has come, with their run directories written
             while leaves and leaves[0][0] in finished:
                 path, records = finished.pop(leaves[0][0])
-                detector = build_detector(cfg.arch, init_seed=cfg.seed)
-                restore_checkpoint(detector, path)
-                os.remove(path)
                 for i in leaves.pop(0):
                     (run_cfg, baseline), ledger = runs[i], ledgers[i]
-                    result = RunResult(records=records, ledger=ledger, detector=detector, config=run_cfg,
+                    detector = build_detector(cfg.arch, init_seed=cfg.seed)
+                    restore_checkpoint(detector, path)
+                    result = RunResult(records=list(records), ledger=ledger, detector=detector, config=run_cfg,
                                        summary=summarize_run(run_cfg, records, ledger, baseline))
                     if run_cfg.output_dir is not None:
                         write_run_dir(result)
                     yield result
+                os.remove(path)
 
         while queue or pool.busy():
             if not queue:
@@ -934,30 +934,14 @@ def read_curves_csv(path) -> list[EpochRecord]:
     return read_csv_rows(path, CURVES_COLUMNS, _curves_row)
 
 
+def _ledger_rows(ledger: FlopsLedger) -> list[list[int]]:
+    """The data rows of the ledger's ledger.csv: each record's fields and
+    the running total."""
+    return [[*astuple(r), running] for r, running in zip(ledger.records, ledger.cumulative_totals())]
+
+
 def write_ledger_csv(ledger: FlopsLedger, path) -> None:
-    write_table(path, LEDGER_COLUMNS, (
-        [*astuple(r), running] for r, running in zip(ledger.records, ledger.cumulative_totals())
-    ))
-
-
-def read_ledger_csv(path) -> FlopsLedger:
-    """Rebuild a ledger from its CSV export, one record per row. Every row
-    must pass FlopsLedger.append and carry the running total of the rows
-    so far in `cum_total`.
-    """
-    ledger = FlopsLedger()
-    running = 0
-
-    def add_row(row):
-        nonlocal running
-        *values, cum_total = map(int, row)
-        ledger.append(EpochFlopsRecord(*values))
-        running += ledger.records[-1].total()
-        if cum_total != running:
-            raise ValueError(f"cum_total {cum_total} differs from the running row sum {running}")
-
-    read_csv_rows(path, LEDGER_COLUMNS, add_row)
-    return ledger
+    write_table(path, LEDGER_COLUMNS, _ledger_rows(ledger))
 
 
 def write_summary_csv(summary: dict, path) -> None:
@@ -1040,7 +1024,8 @@ def read_run_dir(run_dir) -> tuple[ExperimentConfig, FlopsLedger, list[EpochReco
     """(config, planned ledger, epoch records) of a completed run directory
     held to its config.json's plan. The directory must carry the
     checkpoint.bin that write_run_dir writes last, its ledger.csv must hold
-    the ledger its config.json plans (plan_ledger), and its curves.csv the
+    the rows that write_ledger_csv writes for the ledger its config.json
+    plans (plan_ledger), running totals included, and its curves.csv the
     planned epochs (see _check_curves). A file that does not is one
     ValueError that names it."""
     if not os.path.exists(os.path.join(run_dir, "checkpoint.bin")):
@@ -1048,8 +1033,13 @@ def read_run_dir(run_dir) -> tuple[ExperimentConfig, FlopsLedger, list[EpochReco
     cfg = load_config(os.path.join(run_dir, "config.json"))
     ledger = plan_ledger(cfg)
     path = os.path.join(run_dir, "ledger.csv")
-    if read_ledger_csv(path).records != ledger.records:
-        raise ValueError(f"{path} differs from the ledger its config.json plans")
+    rows = read_csv_rows(path, LEDGER_COLUMNS, lambda row: [int(x) for x in row])
+    planned = _ledger_rows(ledger)
+    if len(rows) != len(planned):
+        raise ValueError(f"{path} holds {len(rows)} ledger rows; its config.json plans {len(planned)}")
+    for n, (row, want) in enumerate(zip(rows, planned), start=1):
+        if row != want:
+            raise ValueError(f"{path}, data row {n}: {row} differs from the ledger its config.json plans ({want})")
     path = os.path.join(run_dir, "curves.csv")
     records = read_curves_csv(path)
     _check_curves(path, records, cfg, ledger)

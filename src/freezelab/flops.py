@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .schedule import ScheduleSpec, freeze_signals, BACKBONE_UNFROZEN
 
@@ -99,34 +99,28 @@ class FlopsLedger:
     describe the same model.
     """
 
-    def __init__(self, model: Optional[Iterable[LayerFlopsSpec]] = None):
+    def __init__(self, model: Iterable[LayerFlopsSpec]):
         self.records: list[EpochFlopsRecord] = []
-        self.model_signature = None if model is None else _signature(model)
+        self.model_signature = _signature(model)
 
     def record_epoch(self, epoch: int, freeze: int, model: Sequence[LayerFlopsSpec], n_samples: int) -> None:
         """Charge one epoch: every group pays forward cost for N samples;
         neck and head always pay backward; the backbone pays backward only
-        when the epoch is unfrozen. The record must pass append."""
-        signature = _signature(model)
-        if self.model_signature not in (None, signature):
+        when the epoch is unfrozen. The epoch must be new, the freeze flag
+        0 or 1 and the sample count >= 0, or a ValueError."""
+        if _signature(model) != self.model_signature:
             raise ValueError("model spec does not match the one this ledger was built for")
+        if any(r.epoch == epoch for r in self.records):
+            raise ValueError(f"epoch {epoch} already recorded")
+        if freeze not in (0, 1):
+            raise ValueError(f"frozen must be 0 or 1, got {freeze!r}")
+        if n_samples < 0:
+            raise ValueError(f"n_samples must be >= 0, got {n_samples}")
         backbone = n_samples * sum(s.forward_flops_per_sample for s in model if s.group == "backbone")
         rest = n_samples * sum(s.forward_flops_per_sample for s in model if s.group != "backbone")
         bwd_backbone = BACKWARD_FORWARD_RATIO * backbone if freeze == BACKBONE_UNFROZEN else 0
-        self.append(EpochFlopsRecord(epoch, freeze, n_samples, backbone, bwd_backbone,
-                                     rest, BACKWARD_FORWARD_RATIO * rest))
-        self.model_signature = signature
-
-    def append(self, record: EpochFlopsRecord) -> None:
-        """Add one epoch's record: a new epoch, a 0/1 freeze flag and a
-        sample count >= 0, or a ValueError."""
-        if any(r.epoch == record.epoch for r in self.records):
-            raise ValueError(f"epoch {record.epoch} already recorded")
-        if record.frozen not in (0, 1):
-            raise ValueError(f"frozen must be 0 or 1, got {record.frozen!r}")
-        if record.n_samples < 0:
-            raise ValueError(f"n_samples must be >= 0, got {record.n_samples}")
-        self.records.append(record)
+        self.records.append(EpochFlopsRecord(epoch, freeze, n_samples, backbone, bwd_backbone,
+                                             rest, BACKWARD_FORWARD_RATIO * rest))
 
     def total_flops(self) -> int:
         return sum(r.total() for r in self.records)
@@ -152,9 +146,8 @@ def delta_flops(candidate: FlopsLedger, baseline: FlopsLedger) -> int:
     """
     if candidate._comparison_key() != baseline._comparison_key():
         raise ValueError("ledgers describe different runs (model, epochs, or sample counts differ)")
-    if candidate.model_signature is not None and baseline.model_signature is not None:
-        if candidate.model_signature != baseline.model_signature:
-            raise ValueError("ledgers describe different models")
+    if candidate.model_signature != baseline.model_signature:
+        raise ValueError("ledgers describe different models")
     return candidate.total_flops() - baseline.total_flops()
 
 

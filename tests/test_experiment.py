@@ -25,7 +25,6 @@ from freezelab.experiment import (
     load_config,
     read_curves_csv,
     read_summary_csv,
-    read_ledger_csv,
     read_run_dir,
     rebuild_summary,
     run_experiment,
@@ -282,7 +281,8 @@ def test_recorded_lr_is_the_last_batch_rate():
 def test_ledger_csv_reads_back_the_run_ledger(tmp_path, phases):
     cfg = replace(_small_config(phases, n_val=0), output_dir=str(tmp_path))
     run = run_experiment(cfg)
-    assert read_ledger_csv(tmp_path / "ledger.csv").records == run.ledger.records
+    _, ledger, _ = read_run_dir(tmp_path)  # which holds ledger.csv to the planned rows
+    assert ledger.records == run.ledger.records
 
 
 def test_config_accepts_an_integer_for_a_float_field(tmp_path):

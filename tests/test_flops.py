@@ -3,12 +3,16 @@ the period-scaling law, and the epoch-time estimator."""
 
 import csv
 import math
+import re
+import shutil
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from freezelab.experiment import read_ledger_csv, write_ledger_csv
+from freezelab.data import SceneConfig
+from freezelab.experiment import default_config, read_run_dir, run_experiment, write_ledger_csv
 from freezelab.flops import (
     FlopsLedger,
     LayerFlopsSpec,
@@ -79,25 +83,25 @@ def test_counts_are_python_ints():
 
 
 def test_unfrozen_epoch_total():
-    ledger = FlopsLedger()
+    ledger = FlopsLedger(_two_group_model())
     ledger.record_epoch(0, 0, _two_group_model(), n_samples=10)
     assert ledger.records[-1].total() == 4500  # 10 * 3 * (100 + 50)
 
 
 def test_frozen_epoch_total():
-    ledger = FlopsLedger()
+    ledger = FlopsLedger(_two_group_model())
     ledger.record_epoch(0, 1, _two_group_model(), n_samples=10)
     assert ledger.records[-1].total() == 2500  # 10 * (100 + 3 * 50)
 
 
 def test_empty_epoch_changes_nothing():
-    ledger = FlopsLedger()
+    ledger = FlopsLedger(_two_group_model())
     ledger.record_epoch(0, 0, _two_group_model(), n_samples=0)
     assert ledger.total_flops() == 0
 
 
 def test_two_epoch_totals():
-    ledger = FlopsLedger()
+    ledger = FlopsLedger(_two_group_model())
     ledger.record_epoch(0, 0, _two_group_model(), n_samples=10)
     ledger.record_epoch(1, 1, _two_group_model(), n_samples=10)
     assert ledger.total_flops() == 7000
@@ -105,14 +109,14 @@ def test_two_epoch_totals():
 
 
 def test_duplicate_epoch_rejected():
-    ledger = FlopsLedger()
+    ledger = FlopsLedger(_two_group_model())
     ledger.record_epoch(0, 0, _two_group_model(), n_samples=1)
     with pytest.raises(ValueError):
         ledger.record_epoch(0, 1, _two_group_model(), n_samples=1)
 
 
 def test_model_mismatch_rejected():
-    ledger = FlopsLedger()
+    ledger = FlopsLedger(_two_group_model())
     ledger.record_epoch(0, 0, _two_group_model(), n_samples=1)
     other = [LayerFlopsSpec(0, "backbone", 100), LayerFlopsSpec(1, "head", 51)]
     with pytest.raises(ValueError):
@@ -128,7 +132,7 @@ def test_a_ledger_built_for_a_model_rejects_another_model_spec():
 
 
 def test_bad_freeze_and_sample_count_rejected():
-    ledger = FlopsLedger()
+    ledger = FlopsLedger(_two_group_model())
     with pytest.raises(ValueError):
         ledger.record_epoch(0, 2, _two_group_model(), n_samples=1)
     with pytest.raises(ValueError):
@@ -304,45 +308,58 @@ def test_time_model_validation():
 
 
 # --------------------------------------------------------------------------
-# CSV round trip
+# ledger.csv against its plan: read_run_dir accepts a run directory's
+# ledger.csv only when its rows are those its config.json plans
 
 
-def test_ledger_csv_round_trip(tmp_path):
-    model = [
-        LayerFlopsSpec(0, "backbone", 100),
-        LayerFlopsSpec(1, "neck", 30),
-        LayerFlopsSpec(2, "head", 50),
-    ]
-    ledger = _run_ledger(model, [0, 1, 1, 0], 10)
-    path = tmp_path / "ledger.csv"
+@pytest.fixture(scope="module")
+def planned_run(tmp_path_factory):
+    """A completed 2-epoch run directory whose epochs are unfrozen, then frozen."""
+    out = tmp_path_factory.mktemp("planned") / "run"
+    run_experiment(default_config(total_epochs=2, n_train=8, n_val=0, scene=SceneConfig(seed=0),
+                                  schedule=ScheduleSpec([(1, 1), (INF, INF)]), output_dir=str(out)))
+    return out
+
+
+def _rewrite_ledger(planned_run, tmp_path, mangle):
+    """A copy of the run directory whose ledger.csv lines went through `mangle`."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(planned_run, run_dir)
+    path = run_dir / "ledger.csv"
+    lines = mangle(path.read_text().splitlines())
+    # a lone surrogate escape stands for the one raw byte it encodes
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+    return run_dir, path
+
+
+def _refusal(run_dir):
+    with pytest.raises(ValueError) as exc:
+        read_run_dir(run_dir)
+    return str(exc.value)
+
+
+def test_ledger_csv_round_trip(planned_run, tmp_path):
+    _, ledger, _ = read_run_dir(planned_run)
+    assert [r.frozen for r in ledger.records] == [0, 1]
+    # the planned ledger the reader returns writes the file's bytes
+    path = tmp_path / "again.csv"
     write_ledger_csv(ledger, path)
-
-    loaded = read_ledger_csv(path)
-    assert loaded.total_flops() == ledger.total_flops()
-    assert [r.frozen for r in loaded.records] == [0, 1, 1, 0]
-    assert delta_flops(loaded, ledger) == 0
-    # a second export of the loaded ledger is byte-identical
-    path2 = tmp_path / "again.csv"
-    write_ledger_csv(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    assert path.read_bytes() == (planned_run / "ledger.csv").read_bytes()
+    # an integer field may carry spaces around it
+    run_dir, _ = _rewrite_ledger(planned_run, tmp_path, lambda lines: [
+        lines[0], *(" " + line.replace(",", " , ") + " " for line in lines[1:])])
+    assert read_run_dir(run_dir)[1].records == ledger.records
 
 
-def test_ledger_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("epoch,stuff\n0,1\n")
-    with pytest.raises(ValueError):
-        read_ledger_csv(path)
+def test_ledger_csv_rejects_foreign_header(planned_run, tmp_path):
+    run_dir, path = _rewrite_ledger(planned_run, tmp_path, lambda lines: ["epoch,stuff", "0,1"])
+    message = _refusal(run_dir)
+    assert message == f"unexpected header in {path}: ['epoch', 'stuff']"
 
 
-def test_ledger_csv_rejects_duplicate_epochs(tmp_path):
-    model = _two_group_model()
-    ledger = _run_ledger(model, [0], 10)
-    path = tmp_path / "dup.csv"
-    write_ledger_csv(ledger, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines + [lines[1]]) + "\n")
-    with pytest.raises(ValueError):
-        read_ledger_csv(path)
+def test_ledger_csv_rejects_duplicate_epochs(planned_run, tmp_path):
+    run_dir, path = _rewrite_ledger(planned_run, tmp_path, lambda lines: lines + [lines[1]])
+    assert _refusal(run_dir) == f"{path} holds 3 ledger rows; its config.json plans 2"
 
 
 def _with_field(line, index, value):
@@ -351,25 +368,39 @@ def _with_field(line, index, value):
     return ",".join(fields)
 
 
+def _fixed_totals(lines):
+    """The lines with every cum_total the running sum of the rows' charges."""
+    out, running = lines[:1], 0
+    for line in lines[1:]:
+        fields = line.split(",")
+        running += sum(int(x) for x in fields[3:7])
+        out.append(_with_field(line, 7, str(running)))
+    return out
+
+
+PLAN_FAULT = "...] differs from the ledger its config.json plans ([..."
+
+
 @pytest.mark.parametrize("mangle,message", [
     (lambda lines: [], "is empty"),
+    (lambda lines: lines[:1], "holds 0 ledger rows; its config.json plans 2"),
     (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], lines[2]], "line 2: expected 8 fields, got 7"),
-    (lambda lines: [lines[0], _with_field(lines[1], 1, "7"), lines[2]], "line 2: frozen must be 0 or 1, got 7"),
-    (lambda lines: [lines[0], lines[1], _with_field(lines[2], 7, "1")], "line 3: cum_total 1 differs"),
+    (lambda lines: [lines[0], _with_field(lines[1], 1, "7"), lines[2]], "data row 1: [0, 7, 8," + PLAN_FAULT),
+    (lambda lines: [lines[0], lines[1], _with_field(lines[2], 7, "1")], "data row 2: [1, 1, 8," + PLAN_FAULT),
     (lambda lines: [lines[0], _with_field(lines[1], 3, "x"), lines[2]], "line 2: invalid literal"),
-    (lambda lines: [lines[0], _with_field(lines[1], 2, "-5"), lines[2]], "line 2: n_samples must be >= 0, got -5"),
+    (lambda lines: _fixed_totals([lines[0], _with_field(lines[1], 2, "-5"), lines[2]]),
+     "data row 1: [0, 0, -5," + PLAN_FAULT),
     (lambda lines: [lines[0], _with_field(lines[1], 3, "\udcff"), lines[2]],
      ": 'utf-8' codec can't decode byte 0xff"),
     (lambda lines: [lines[0], _with_field(lines[1], 3, "9" * (csv.field_size_limit() + 1)), lines[2]],
      "line 2: field larger than field limit"),
-], ids=["empty", "short-row", "frozen-7", "cum-total", "not-an-int", "negative-samples", "not-utf8",
-        "field-over-limit"])
-def test_ledger_csv_rejects_malformed_files(tmp_path, mangle, message):
-    path = tmp_path / "ledger.csv"
-    write_ledger_csv(_run_ledger(_two_group_model(), [0, 1], 10), path)
-    lines = mangle(path.read_text().splitlines())
-    # a lone surrogate escape stands for the one raw byte it encodes
-    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
-    with pytest.raises(ValueError) as exc:
-        read_ledger_csv(path)
-    assert str(path) in str(exc.value) and message in str(exc.value)
+    (lambda lines: [lines[0], lines[2], lines[1]], "data row 1: [1, 1, 8," + PLAN_FAULT),
+], ids=["empty", "header-only", "short-row", "frozen-7", "cum-total", "not-an-int", "negative-samples",
+        "not-utf8", "field-over-limit", "swapped-rows"])
+def test_ledger_csv_rejects_malformed_files(planned_run, tmp_path, mangle, message):
+    # a parse fault names the line, a plan fault the data row; "..." in
+    # `message` stands for any text
+    run_dir, path = _rewrite_ledger(planned_run, tmp_path, mangle)
+    refusal = _refusal(run_dir)
+    assert str(path) in refusal and "\n" not in refusal
+    assert re.search(".*".join(map(re.escape, message.split("..."))), refusal)

@@ -285,6 +285,26 @@ def test_runs_trained_together_may_not_share_an_output_dir(tmp_path, monkeypatch
     assert seen == [] and not os.path.exists(out)
 
 
+def test_runs_that_share_a_leaf_get_a_detector_each(tmp_path):
+    # A consumer may change a result before it asks for the next, so runs
+    # that share a leaf share neither its detector nor its records.
+    base = _base(epochs=3, n_train=8, n_val=4)
+    runs = [(replace(base, output_dir=str(tmp_path / name)), None) for name in ("a", "b")]
+    results = run_experiments(runs)
+    first = next(results)
+    for _, tensor in first.detector.parameters():
+        tensor.data[...] = 0.0
+    first.records.clear()
+    second = next(results)
+    assert list(results) == []
+    alone = run_experiment(replace(base, output_dir=str(tmp_path / "alone")))
+    assert second.records == alone.records
+    assert [t.data.tobytes() for _, t in second.detector.parameters()] == \
+        [t.data.tobytes() for _, t in alone.detector.parameters()]
+    for name in RUN_FILES[1:]:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+
+
 def test_run_experiments_rejects_a_baseline_of_another_shape_before_training(monkeypatch):
     base = _base(epochs=3, n_train=8, n_val=0)
     seen = _count_epochs(monkeypatch)

@@ -31,9 +31,10 @@ only by the walk's epoch loop and by that same check. An evaluation is scored wi
 arrays: `model.decode_predictions` and `evaluation.average_precision`
 hold no `for` or `while` loop, and only `experiment.evaluate_detector`
 decodes, once per evaluation. A run directory has one reader: only
-`experiment.read_run_dir` reads a `ledger.csv` or a `curves.csv`, so
-`report --run`, `report --baseline` and `run --baseline` hold a
-directory to its config's plan alike."""
+`experiment.read_run_dir` reads a `curves.csv` or rows under
+`LEDGER_COLUMNS`, so `report --run`, `report --baseline` and `run
+--baseline` hold a directory to its config's plan alike. A ledger grows
+only by `FlopsLedger.record_epoch`: it has no `append`."""
 
 import ast
 import subprocess
@@ -214,11 +215,30 @@ def test_scoring_holds_no_loop(module, name):
     assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(function))
 
 
-@pytest.mark.parametrize("name", ["read_ledger_csv", "read_curves_csv"])
+@pytest.mark.parametrize("name", ["read_curves_csv"])
 def test_one_function_reads_a_run_directory(name):
     callers = [(module, function) for module in MODULES
                for function in _calls_by_function(_tree(module), name)]
     assert callers == [("experiment", "read_run_dir")]
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_only_read_run_dir_reads_ledger_rows():
+    readers = [(module, function.name) for module in MODULES for function in ast.walk(_tree(module))
+               if isinstance(function, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and "read_csv_rows" in _names(call.func)
+                       and "LEDGER_COLUMNS" in _names(call) for call in ast.walk(function))]
+    assert readers == [("experiment", "read_run_dir")]
+
+
+def test_a_ledger_grows_only_by_record_epoch():
+    (ledger,) = [node for node in _tree("flops").body if isinstance(node, ast.ClassDef) and node.name == "FlopsLedger"]
+    methods = {node.name for node in ledger.body if isinstance(node, ast.FunctionDef)}
+    assert "record_epoch" in methods and "append" not in methods
 
 
 # The modules and calls through which a module could start a process.
@@ -240,7 +260,7 @@ def test_only_the_walk_starts_a_process_and_the_package_imports_no_multiprocessi
     code = ("import sys, freezelab, " + ", ".join(f"freezelab.{m}" for m in MODULES if m != "__init__")
             + "; print(sorted(m for m in sys.modules if m.split('.')[0] in "
             + repr(PROCESS_MODULES | {"select"}) + "))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=120,
                           env={"PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
