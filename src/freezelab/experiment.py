@@ -15,7 +15,9 @@ run_experiments); neither changes an output byte.
 This module also writes every table file of a run or grid directory
 (curves, ledger, summary, grid summary, delta map) in one CSV format,
 and reads a run directory back held to its config's plan; the
-checkpoint's binary layout lives in model.
+checkpoint's binary layout lives in model. ledger.csv holds the planned
+ledger's rows, curves.csv its plan's columns plus the measured loss and
+mAP (_curves_records), and a reader holds both to the plan alike.
 """
 
 from __future__ import annotations
@@ -311,16 +313,16 @@ def train_epoch(
     sgd_cfg: SgdConfig,
     seed: int,
     cache: RunCache,
-) -> tuple[float, float]:
+) -> float:
     """One pass over `scenes` in a per-epoch shuffled order, reading and
     filling `cache`, the run's RunCache for these scenes.
 
     Per batch: forward under the freeze signal, loss, backward, global
     clip, SGD step at lr_at(iteration). Every epoch has the same number
     of batches, so the epoch's first global iteration is epoch times that
-    number. Returns (mean of per-batch losses, last learning rate used).
-    The epoch's FLOPs are not recorded here: a run's ledger is planned
-    from its config (plan_ledger).
+    number. Returns the mean of the per-batch losses. The epoch's FLOPs
+    and its last rate are not recorded here: both follow from the config
+    (plan_ledger, _curves_records).
     """
     if not scenes:
         raise ValueError("cannot train on an empty scene list")
@@ -336,7 +338,6 @@ def train_epoch(
 
     first = epoch * math.ceil(len(scenes) / sgd_cfg.batch_size)
     losses = []
-    lr = None
     for iteration, lo in enumerate(range(0, len(order), sgd_cfg.batch_size), start=first):
         rows = order[lo : lo + sgd_cfg.batch_size]
         with Tape() as tape:
@@ -348,10 +349,9 @@ def train_epoch(
         grads_by_uid = backward(loss, tape)
         grads = {key_of[uid]: g for uid, g in grads_by_uid.items()}
         grads = clip_gradients(grads, sgd_cfg.clip_max_norm)
-        lr = lr_at(iteration, epoch, lr_cfg)
-        sgd_step(params, grads, state, lr, sgd_cfg)
+        sgd_step(params, grads, state, lr_at(iteration, epoch, lr_cfg), sgd_cfg)
         losses.append(loss.item())
-    return float(np.mean(losses)), lr
+    return float(np.mean(losses))
 
 
 def evaluate_detector(detector: Detector, scenes: Sequence[Scene], batch_size: int,
@@ -385,40 +385,53 @@ def plan_ledger(cfg: ExperimentConfig) -> FlopsLedger:
     return ledger
 
 
+def _curves_records(cfg: ExperimentConfig, ledger: FlopsLedger, measured: Sequence[tuple]) -> list[EpochRecord]:
+    """A run's epoch records: per planned epoch of `ledger`, its freeze flag,
+    running total and last iteration's rate (see train_epoch), and its
+    measured (mean_loss, val_map50). val_map50 is None off cfg.evaluates'
+    cadence, and NaN (which no curves.csv row holds) where it is missing on it."""
+    per_epoch = math.ceil(cfg.n_train / cfg.sgd.batch_size)
+    return [EpochRecord(epoch=epoch, frozen=planned.frozen, mean_loss=mean_loss,
+                        lr=lr_at((epoch + 1) * per_epoch - 1, epoch, cfg.lr), cum_flops=running,
+                        val_map50=(math.nan if val_map50 is None else val_map50) if cfg.evaluates(epoch) else None)
+            for epoch, (planned, running, (mean_loss, val_map50))
+            in enumerate(zip(ledger.records, ledger.cumulative_totals(), measured))]
+
+
 @dataclass
 class TrainState:
     """What training changes from one epoch to the next: the detector, its
-    SGD state and the epoch records so far; and the RunCache.
+    SGD state and each epoch's measured (mean_loss, val_map50); the RunCache.
 
     Nothing else is carried, because the rest follows from these and the
-    config: the next epoch is len(records), its first global iteration
-    follows from the epoch (see train_epoch), and the run's ledger is
-    plan_ledger(cfg). The learning rate and the batch order depend only on
-    the iteration, the epoch and the seed, so two runs of one config whose
-    freeze signals agree up to an epoch have equal states there
-    (run_experiments trains such a prefix once).
+    config: the next epoch is len(measured), its first global iteration
+    follows from the epoch (see train_epoch), the ledger is plan_ledger(cfg)
+    and the records _curves_records. The learning rate and the batch order
+    depend only on the iteration, the epoch and the seed, so two runs of
+    one config whose freeze signals agree up to an epoch have equal states
+    there (run_experiments trains such a prefix once).
     """
 
     detector: Detector
     optim: OptimState
-    records: list
+    measured: list
     cache: RunCache
 
     def park(self, path) -> tuple:
-        """Set this state aside to resume later, as (path, records): the
+        """Set this state aside to resume later, as (path, measured): the
         parameters go to `path` and the velocity to `path + ".velocity"`,
-        both in the checkpoint codec, and the records list is copied. The
-        feature stores are not kept."""
+        both in the checkpoint codec, and the measured pairs are copied.
+        The feature stores are not kept."""
         save_checkpoint(self.detector, path)
         save_arrays(self.optim.velocity, path + ".velocity")
-        return path, list(self.records)
+        return path, list(self.measured)
 
     def resume(self, parked: tuple) -> None:
         """Return to a parked state in place, and delete its files. The
         feature stores are emptied first, since the backbone moves. The
         parameter file must fit the detector, as a run's checkpoint must."""
         self.cache.drop()
-        path, self.records = parked
+        path, self.measured = parked
         restore_checkpoint(self.detector, path)
         self.optim = OptimState(load_checkpoint(path + ".velocity"))
         os.remove(path)
@@ -509,7 +522,6 @@ class _Walk:
 
     def __init__(self, cfg: ExperimentConfig, ledgers: Sequence[FlopsLedger], fork_dir: str):
         self.cfg, self.ledgers, self.fork_dir = cfg, ledgers, fork_dir
-        self.running = [ledger.cumulative_totals() for ledger in ledgers]
         _hold_heap()
         self.train_scenes, self.val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
         detector = build_detector(cfg.arch, init_seed=cfg.seed)
@@ -518,20 +530,20 @@ class _Walk:
     def path(self, group: list) -> str:
         """The file of the branch of `group` at the state's epoch: a trie
         node, so no two branches of one walk share it."""
-        return os.path.join(self.fork_dir, f"{group[0]}-{len(self.state.records)}.bin")
+        return os.path.join(self.fork_dir, f"{group[0]}-{len(self.state.measured)}.bin")
 
     def flops(self, group: list) -> int:
         """The planned FLOPs left on the branch of `group` from the state's epoch."""
-        return _plan_branch(self.ledgers, group, len(self.state.records))[1]
+        return _plan_branch(self.ledgers, group, len(self.state.measured))[1]
 
     def park(self, group: list) -> tuple:
         """The state parked as the branch of `group`: (parked, group)."""
         return self.state.park(self.path(group)), group
 
     def finish(self, group: list) -> tuple:
-        """The finished leaf of `group` set aside: (parameter file, records)."""
+        """The finished leaf of `group` set aside: (parameter file, measured pairs)."""
         save_checkpoint(self.state.detector, self.path(group))
-        return self.path(group), self.state.records
+        return self.path(group), self.state.measured
 
     def train_branch(self, branch: tuple, split: Callable[[list, list], list]) -> Iterator[list]:
         """Train a (parked state or None, runs) branch to its leaf, and yield
@@ -542,22 +554,21 @@ class _Walk:
         cfg, state = self.cfg, self.state
         if parked is not None:
             state.resume(parked)
-        for epoch in range(len(state.records), cfg.total_epochs):
+        for epoch in range(len(state.measured), cfg.total_epochs):
             sides = _part(self.ledgers, group, epoch)
             if all(sides):
                 group = split(*sides)
             freeze = self.ledgers[group[0]].records[epoch].frozen
             # Called through the module, in this positional order, so
             # that a wrapper of experiment.train_epoch sees every epoch.
-            mean_loss, lr = train_epoch(
+            mean_loss = train_epoch(
                 state.detector, self.train_scenes, epoch, freeze, state.optim,
                 lr_cfg=cfg.lr, sgd_cfg=cfg.sgd, seed=cfg.seed, cache=state.cache,
             )
             val_map = (evaluate_detector(state.detector, self.val_scenes, cfg.sgd.batch_size,
                                          cache=state.cache).map50
                        if cfg.evaluates(epoch) else None)
-            state.records.append(EpochRecord(epoch=epoch, frozen=freeze, mean_loss=mean_loss, lr=lr,
-                                             cum_flops=self.running[group[0]][epoch], val_map50=val_map))
+            state.measured.append((mean_loss, val_map))
             yield group
 
 
@@ -597,9 +608,9 @@ def _work() -> None:
     brings the walk's (config, planned ledgers, fork directory); once it
     has built its _Walk from them it sends ("ready", None, None), and only
     then is it handed a branch. Each branch it trains to its leaf and
-    answers with ("leaf", (parameter file, records), runs). Where its runs
-    part, it keeps the side with more planned FLOPs left and sends the
-    other back for the walk's queue as ("park", branch, None). An
+    answers with ("leaf", (parameter file, measured pairs), runs). Where
+    its runs part, it keeps the side with more planned FLOPs left and sends
+    the other back for the walk's queue as ("park", branch, None). An
     exception goes back as ("error", exception, None) and ends the worker.
     Messages go out on what was stdout; anything printed goes to stderr.
     Ctrl-C is left to the walk, which ends its workers."""
@@ -771,10 +782,10 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     named = set()
     for other, _ in runs:
         if other.output_dir is not None:
-            if os.path.abspath(other.output_dir) in named:
+            if os.path.realpath(other.output_dir) in named:
                 raise ValueError(f"runs trained together must write different run directories; "
                                  f"two name {other.output_dir}")
-            named.add(os.path.abspath(other.output_dir))
+            named.add(os.path.realpath(other.output_dir))
     ledgers = [plan_ledger(c) for c, _ in runs]
     for (_, baseline), ledger in zip(runs, ledgers):
         if baseline is not None:  # reject a mismatch before training
@@ -788,7 +799,7 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
         pool.start(min(_spare_cores(), len(leaves) - 1))
         walk = _Walk(cfg, ledgers, fork_dir)
         queue = [(None, every)]  # parked branches: (parked state or None, runs)
-        finished = {}  # first run of a leaf -> (parameter file, records), until its turn
+        finished = {}  # first run of a leaf -> (parameter file, measured pairs), until its turn
 
         def split(*sides):
             keep, park = sorted(sides, key=walk.flops)
@@ -799,12 +810,13 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
         def turns():
             # the results of every leaf whose turn has come, with their run directories written
             while leaves and leaves[0][0] in finished:
-                path, records = finished.pop(leaves[0][0])
+                path, measured = finished.pop(leaves[0][0])
                 for i in leaves.pop(0):
                     (run_cfg, baseline), ledger = runs[i], ledgers[i]
                     detector = build_detector(cfg.arch, init_seed=cfg.seed)
                     restore_checkpoint(detector, path)
-                    result = RunResult(records=list(records), ledger=ledger, detector=detector, config=run_cfg,
+                    records = _curves_records(run_cfg, ledger, measured)
+                    result = RunResult(records=records, ledger=ledger, detector=detector, config=run_cfg,
                                        summary=summarize_run(run_cfg, records, ledger, baseline))
                     if run_cfg.output_dir is not None:
                         write_run_dir(result)
@@ -1001,32 +1013,23 @@ def write_run_dir(result: RunResult) -> None:
     _write_atomically(checkpoint, save_checkpoint, result.detector)
 
 
-def _check_curves(path, records: Sequence[EpochRecord], cfg: ExperimentConfig, ledger: FlopsLedger) -> None:
-    """The records read from `path` must be the run's epochs in order, each
-    with the freeze flag and running total of the planned `ledger`, a
-    val_map50 on exactly the epochs that cfg.evaluates, and the rate of
-    the epoch's last iteration (see train_epoch)."""
-    if len(records) != len(ledger.records):
-        raise ValueError(f"{path} holds {len(records)} epoch rows; its config.json plans {len(ledger.records)}")
-    per_epoch = math.ceil(cfg.n_train / cfg.sgd.batch_size)
-    for epoch, (record, planned, running) in enumerate(zip(records, ledger.records, ledger.cumulative_totals())):
-        got = (record.epoch, record.frozen, record.cum_flops, record.val_map50 is not None)
-        want = (epoch, planned.frozen, running, cfg.evaluates(epoch))
-        if got != want:
-            raise ValueError(f"{path}, data row {epoch + 1}: (epoch, frozen, cum_flops, evaluated) is {got}; "
-                             f"its config.json plans {want}")
-        lr = lr_at((epoch + 1) * per_epoch - 1, epoch, cfg.lr)
-        if record.lr != lr:
-            raise ValueError(f"{path}, data row {epoch + 1}: lr is {record.lr!r}; its config.json plans {lr!r}")
+def _hold_to_plan(path, noun: str, rows: list, planned: list, ledger: FlopsLedger) -> None:
+    """The data rows read from `path` must be one per epoch of `ledger`, equal
+    to `planned` in order: else one ValueError names the file and the fault."""
+    if len(rows) != len(ledger.records):
+        raise ValueError(f"{path} holds {len(rows)} {noun} rows; its config.json plans {len(ledger.records)}")
+    for n, (row, want) in enumerate(zip(rows, planned), start=1):
+        if row != want:
+            raise ValueError(f"{path}, data row {n}: {row} differs from the {noun} its config.json plans ({want})")
 
 
 def read_run_dir(run_dir) -> tuple[ExperimentConfig, FlopsLedger, list[EpochRecord]]:
     """(config, planned ledger, epoch records) of a completed run directory
     held to its config.json's plan. The directory must carry the
-    checkpoint.bin that write_run_dir writes last, its ledger.csv must hold
-    the rows that write_ledger_csv writes for the ledger its config.json
-    plans (plan_ledger), running totals included, and its curves.csv the
-    planned epochs (see _check_curves). A file that does not is one
+    checkpoint.bin that write_run_dir writes last, its ledger.csv the rows
+    of the planned ledger (plan_ledger), and its curves.csv the records
+    _curves_records makes of that plan and the file's measured pairs, as
+    tuples (so a NaN mean_loss equals itself). A file that does not is one
     ValueError that names it."""
     if not os.path.exists(os.path.join(run_dir, "checkpoint.bin")):
         raise ValueError(f"{run_dir} is not a completed run directory: it has no checkpoint.bin")
@@ -1034,15 +1037,11 @@ def read_run_dir(run_dir) -> tuple[ExperimentConfig, FlopsLedger, list[EpochReco
     ledger = plan_ledger(cfg)
     path = os.path.join(run_dir, "ledger.csv")
     rows = read_csv_rows(path, LEDGER_COLUMNS, lambda row: [int(x) for x in row])
-    planned = _ledger_rows(ledger)
-    if len(rows) != len(planned):
-        raise ValueError(f"{path} holds {len(rows)} ledger rows; its config.json plans {len(planned)}")
-    for n, (row, want) in enumerate(zip(rows, planned), start=1):
-        if row != want:
-            raise ValueError(f"{path}, data row {n}: {row} differs from the ledger its config.json plans ({want})")
+    _hold_to_plan(path, "ledger", rows, _ledger_rows(ledger), ledger)
     path = os.path.join(run_dir, "curves.csv")
     records = read_curves_csv(path)
-    _check_curves(path, records, cfg, ledger)
+    planned = _curves_records(cfg, ledger, [(r.mean_loss, r.val_map50) for r in records])
+    _hold_to_plan(path, "curves", [astuple(r) for r in records], [astuple(r) for r in planned], ledger)
     return cfg, ledger, records
 
 

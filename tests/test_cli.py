@@ -165,17 +165,17 @@ def _swap_first_rows(rows):
 @pytest.mark.parametrize("where,name,edit,message", [
     ("run", "ledger.csv", _freeze_last_ledger_row, "differs from the ledger its config.json plans"),
     ("base", "ledger.csv", _freeze_last_ledger_row, "differs from the ledger its config.json plans"),
-    ("run", "curves.csv", list.clear, "holds 0 epoch rows; its config.json plans 4"),
-    ("run", "curves.csv", lambda rows: rows.pop(2), "holds 3 epoch rows; its config.json plans 4"),
-    ("run", "curves.csv", _swap_first_rows, "data row 1: (epoch, frozen, cum_flops, evaluated) is (1,"),
-    ("run", "curves.csv", _set_cell(2, 1, "7"), "data row 3: (epoch, frozen, cum_flops, evaluated) is (2, 7,"),
-    ("run", "curves.csv", _set_cell(2, 4, "1"), "data row 3: (epoch, frozen, cum_flops, evaluated) is (2, 0, 1,"),
-    ("run", "curves.csv", _set_cell(0, 5, "0.5"), "data row 1: (epoch, frozen, cum_flops, evaluated) is (0,"),
-    ("run", "curves.csv", _set_cell(3, 5, "NA"), "data row 4: (epoch, frozen, cum_flops, evaluated) is (3,"),
+    ("run", "curves.csv", list.clear, "holds 0 curves rows; its config.json plans 4"),
+    ("run", "curves.csv", lambda rows: rows.pop(2), "holds 3 curves rows; its config.json plans 4"),
+    ("run", "curves.csv", _swap_first_rows, "data row 1: (1, 0, "),
+    ("run", "curves.csv", _set_cell(2, 1, "7"), "data row 3: (2, 7, "),
+    ("run", "curves.csv", _set_cell(2, 4, "1"), ", 1, None) differs from the curves its config.json plans ((2, 0, "),
+    ("run", "curves.csv", _set_cell(0, 5, "0.5"), ", 0.5) differs from the curves its config.json plans ((0, 0, "),
+    ("run", "curves.csv", _set_cell(3, 5, "NA"), ", None) differs from the curves its config.json plans ((3, 0, "),
     ("run", "curves.csv", _set_cell(3, 5, "nan"), "line 5: val_map50 must be NA or in [0, 1], got nan"),
     ("run", "curves.csv", _set_cell(3, 5, "1.5"), "line 5: val_map50 must be NA or in [0, 1], got 1.5"),
-    ("run", "curves.csv", _set_cell(1, 3, "99.0"), "data row 2: lr is 99.0; its config.json plans 0."),
-    ("base", "curves.csv", _set_cell(1, 3, "99.0"), "data row 2: lr is 99.0; its config.json plans 0."),
+    ("run", "curves.csv", _set_cell(1, 3, "99.0"), ", 99.0, "),
+    ("base", "curves.csv", _set_cell(1, 3, "99.0"), ", 99.0, "),
 ], ids=["ledger-frozen", "baseline-ledger-frozen", "curves-header-only", "curves-row-deleted",
         "curves-rows-swapped", "curves-frozen-7", "curves-cum-flops", "curves-map-unevaluated",
         "curves-map-missing", "curves-map-nan", "curves-map-above-1", "curves-lr", "baseline-curves-lr"])
@@ -224,7 +224,7 @@ def _tamper(name, edit):
 @pytest.mark.parametrize("tamper,message", [
     (_tamper("ledger.csv", _negative_backbone_backward), "differs from the ledger its config.json plans"),
     (_remove_checkpoint, "is not a completed run directory: it has no checkpoint.bin"),
-    (_tamper("curves.csv", _set_cell(0, 3, "99.0")), "data row 1: lr is 99.0; its config.json plans 0."),
+    (_tamper("curves.csv", _set_cell(0, 3, "99.0")), ", 99.0, "),
 ], ids=["ledger-negative-bwd-backbone", "no-checkpoint", "curves-lr"])
 def test_run_refuses_a_baseline_that_is_not_its_config_plan_before_training(tmp_path, capsys, monkeypatch,
                                                                             tamper, message):

@@ -225,7 +225,7 @@ def test_resume_empties_both_stores(tmp_path):
     assert state.cache.train is not None and state.cache.val is not None
     state.resume(parked)
     assert state.cache.train is None and state.cache.val is None
-    assert state.records == [] and list(tmp_path.iterdir()) == []
+    assert state.measured == [] and list(tmp_path.iterdir()) == []
 
 
 def test_stores_are_dropped_before_a_parked_branch_resumes(tmp_path, monkeypatch):
@@ -283,6 +283,22 @@ def test_runs_trained_together_may_not_share_an_output_dir(tmp_path, monkeypatch
         list(run_experiments(runs))
     assert out in str(exc.value)
     assert seen == [] and not os.path.exists(out)
+
+
+def test_runs_trained_together_may_not_reach_one_output_dir_through_a_symlink(tmp_path, monkeypatch):
+    # Both used to be trained and yielded, and real/run/summary.csv held
+    # the row of the run that named link/run.
+    base = _base(epochs=3, n_train=8, n_val=4)
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    seen = _count_epochs(monkeypatch)
+    runs = [(replace(base, schedule=spec, output_dir=str(tmp_path / root / "run")), None)
+            for spec, root in ((ScheduleSpec([(math.inf, math.inf)]), "real"),
+                               (ScheduleSpec([(1, 1), (math.inf, math.inf)]), "link"))]
+    with pytest.raises(ValueError, match="must write different run directories") as exc:
+        list(run_experiments(runs))
+    assert str(tmp_path / "link" / "run") in str(exc.value)
+    assert seen == [] and os.listdir(tmp_path / "real") == []
 
 
 def test_runs_that_share_a_leaf_get_a_detector_each(tmp_path):

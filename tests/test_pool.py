@@ -178,6 +178,49 @@ def test_a_result_detector_holds_its_runs_parameters(tmp_path, monkeypatch, temp
     _clean(temp_root)
 
 
+def test_a_pooled_walk_carries_only_measured_pairs(tmp_path, monkeypatch, temp_root):
+    # What crosses a pipe or waits in the queue is a parameter file named
+    # "<run>-<epochs trained>.bin" and one (mean_loss, val_map50) pair per
+    # trained epoch; the records are made from those and the plan.
+    carried = {"park": [], "leaf": []}
+    received = []  # the kinds of the workers' messages
+    real_receive, real_park = experiment._receive, experiment.TrainState.park
+
+    def receive(fd):
+        kind, body, _ = message = real_receive(fd)
+        received.append(kind)
+        if kind in carried:  # copied, since a state resumed from it goes on
+            path, measured = body[0] if kind == "park" else body
+            carried[kind].append((path, list(measured)))
+        return message
+
+    def park(self, path):
+        parked = real_park(self, path)
+        carried["park"].append((parked[0], list(parked[1])))
+        return parked
+
+    records = {}
+    for n in (2, 1):
+        _processes(monkeypatch, n)
+        monkeypatch.setattr(experiment, "_receive", receive)
+        monkeypatch.setattr(experiment.TrainState, "park", park)
+        results = run_experiments([(cfg, None) for cfg in _cfgs(tmp_path / str(n))])
+        records[n] = [(os.path.basename(r.config.output_dir), r.records) for r in results]
+    # a worker parked and finished branches of its own
+    assert {"park", "leaf"} <= set(received)
+    assert records[2] == records[1]
+    cfg = _base()
+    for kind, branches in carried.items():
+        for path, measured in branches:
+            epochs = int(os.path.basename(path)[:-len(".bin")].split("-")[1])
+            assert len(measured) == epochs and 0 < epochs <= cfg.total_epochs
+            assert kind == "park" or epochs == cfg.total_epochs
+            for epoch, (mean_loss, val_map50) in enumerate(measured):
+                assert type(mean_loss) is float and math.isfinite(mean_loss)
+                assert type(val_map50) is (float if cfg.evaluates(epoch) else type(None))
+    _clean(temp_root)
+
+
 def test_a_walk_that_is_closed_after_its_first_result_stops_its_workers(tmp_path, monkeypatch, temp_root,
                                                                        workers):
     _processes(monkeypatch, 2)

@@ -18,16 +18,19 @@ the one place a stride is filled. No module raises or catches
 `cli.main`. A config is checked whole where it is made: in `experiment`,
 only `ExperimentConfig.__post_init__` and `plan_ledger` call
 `plan_detector`. A run's ledger is planned from its config: only
-`experiment.plan_ledger` calls `record_epoch`. The learning rate
-(`lr_at`, at iterations that follow from the epoch) has two readers:
-`experiment.train_epoch`, and `report`'s check of a run directory's
-curves, which holds each epoch's `lr` to it. A run's per-epoch plan is
+`experiment.plan_ledger` calls `record_epoch`. A run's epoch records
+are made in one place: only `experiment._curves_records` (from the plan
+and what training measured) and `experiment._curves_row` (a curves.csv
+row read back) construct an `EpochRecord`. The learning rate (`lr_at`,
+at iterations that follow from the epoch) has two readers:
+`experiment.train_epoch`, and `_curves_records`, which gives each
+epoch's record the rate of its last iteration. A run's per-epoch plan is
 computed once: only `experiment.plan_ledger` and
 `flops.estimate_training_time` call `freeze_signals`, the training walk
-reads each epoch's freeze flag and running total from the planned
-ledger without re-expanding the schedule or re-summing the ledger per
-epoch, and the evaluation cadence (`ExperimentConfig.evaluates`) is read
-only by the walk's epoch loop and by that same check. An evaluation is scored with
+reads each epoch's freeze flag from the planned ledger without
+re-expanding the schedule and never sums a ledger, and the evaluation
+cadence (`ExperimentConfig.evaluates`) is read only by the walk's epoch
+loop and by `_curves_records`. An evaluation is scored with
 arrays: `model.decode_predictions` and `evaluation.average_precision`
 hold no `for` or `while` loop, and only `experiment.evaluate_detector`
 decodes, once per evaluation. A run directory has one reader: only
@@ -182,8 +185,8 @@ def test_a_config_is_checked_where_it_is_made():
 
 @pytest.mark.parametrize("name,callers", [
     ("freeze_signals", [("experiment", "plan_ledger"), ("flops", "estimate_training_time")]),
-    ("evaluates", [("experiment", "_check_curves"), ("experiment", "train_branch")]),
-    ("lr_at", [("experiment", "_check_curves"), ("experiment", "train_epoch")]),
+    ("evaluates", [("experiment", "_curves_records"), ("experiment", "train_branch")]),
+    ("lr_at", [("experiment", "_curves_records"), ("experiment", "train_epoch")]),
 ])
 def test_a_run_is_planned_once_and_its_cadence_has_two_readers(name, callers):
     assert sorted((module, function) for module in MODULES
@@ -202,7 +205,13 @@ def test_the_walk_neither_expands_a_schedule_nor_sums_a_ledger_per_epoch():
     in_loops = {name for loop in ast.walk(walk) if isinstance(loop, (ast.For, ast.While))
                 for name in ("freeze_signals", "cumulative_totals") if _calls_by_function(loop, name)}
     assert in_loops == set()
-    assert _calls_by_function(walk, "cumulative_totals") == ["__init__"]
+    assert _calls_by_function(walk, "cumulative_totals") == []
+
+
+def test_one_builder_makes_a_runs_epoch_records_and_one_reads_them_back():
+    assert sorted((module, function) for module in MODULES
+                  for function in _calls_by_function(_tree(module), "EpochRecord")) == [
+        ("experiment", "_curves_records"), ("experiment", "_curves_row")]
 
 
 @pytest.mark.parametrize("module,name", [
