@@ -532,10 +532,6 @@ class _Walk:
         node, so no two branches of one walk share it."""
         return os.path.join(self.fork_dir, f"{group[0]}-{len(self.state.measured)}.bin")
 
-    def flops(self, group: list) -> int:
-        """The planned FLOPs left on the branch of `group` from the state's epoch."""
-        return _plan_branch(self.ledgers, group, len(self.state.measured))[1]
-
     def park(self, group: list) -> tuple:
         """The state parked as the branch of `group`: (parked, group)."""
         return self.state.park(self.path(group)), group
@@ -545,19 +541,21 @@ class _Walk:
         save_checkpoint(self.state.detector, self.path(group))
         return self.path(group), self.state.measured
 
-    def train_branch(self, branch: tuple, split: Callable[[list, list], list]) -> Iterator[list]:
+    def train_branch(self, branch: tuple, hand_off: Callable[[tuple], None]) -> Iterator[list]:
         """Train a (parked state or None, runs) branch to its leaf, and yield
-        the runs it trains for after every epoch. Where they part, split
-        gets the frozen and the unfrozen side, parks one and returns the
-        other."""
+        the runs it trains for after every epoch. Where they part, the state
+        goes on with the frozen side, which reads the feature stores it may
+        hold, and the unfrozen side, which fills none, is parked and passed
+        to hand_off."""
         parked, group = branch
         cfg, state = self.cfg, self.state
         if parked is not None:
             state.resume(parked)
         for epoch in range(len(state.measured), cfg.total_epochs):
-            sides = _part(self.ledgers, group, epoch)
-            if all(sides):
-                group = split(*sides)
+            frozen, unfrozen = _part(self.ledgers, group, epoch)
+            if frozen and unfrozen:
+                hand_off(self.park(unfrozen))
+                group = frozen
             freeze = self.ledgers[group[0]].records[epoch].frozen
             # Called through the module, in this positional order, so
             # that a wrapper of experiment.train_epoch sees every epoch.
@@ -609,25 +607,19 @@ def _work() -> None:
     has built its _Walk from them it sends ("ready", None, None), and only
     then is it handed a branch. Each branch it trains to its leaf and
     answers with ("leaf", (parameter file, measured pairs), runs). Where
-    its runs part, it keeps the side with more planned FLOPs left and sends
-    the other back for the walk's queue as ("park", branch, None). An
-    exception goes back as ("error", exception, None) and ends the worker.
-    Messages go out on what was stdout; anything printed goes to stderr.
-    Ctrl-C is left to the walk, which ends its workers."""
+    its runs part, it keeps the frozen side and sends the unfrozen one back
+    for the walk's queue as ("park", branch, None). An exception goes
+    back as ("error", exception, None) and ends the worker. Messages go
+    out on what was stdout; anything printed goes to stderr. Ctrl-C is
+    left to the walk, which ends its workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     out = os.dup(1)
     os.dup2(2, 1)
     try:
         walk = _Walk(*_receive(0))
         _send(out, ("ready", None, None))
-
-        def split(*sides):
-            light, heavy = sorted(sides, key=walk.flops)
-            _send(out, ("park", walk.park(light), None))
-            return heavy
-
         while True:
-            for group in walk.train_branch(_receive(0), split):
+            for group in walk.train_branch(_receive(0), lambda parked: _send(out, ("park", parked, None))):
                 pass
             _send(out, ("leaf", walk.finish(group), group))
     except EOFError:  # the walk has gone
@@ -750,11 +742,11 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     (plan_ledger) before training; a baseline fills that run's summary
     delta and must describe a run of the same shape, which is checked
     against the planned ledger. The walk goes through the trie of the
-    runs' planned freeze flags. Where they part, one side goes on from the
-    live state and the other is parked (see TrainState.park) in a
-    temporary directory that goes when the walk ends or raises. Runs with
-    one sequence share a leaf. Every run directory holds the bytes an
-    independent run writes.
+    runs' planned freeze flags. Where they part, the frozen side goes on
+    from the live state and the unfrozen side is parked (see
+    _Walk.train_branch and TrainState.park) in a temporary directory that
+    goes when the walk ends or raises. Runs with one sequence share a
+    leaf. Every run directory holds the bytes an independent run writes.
 
     One rule holds at any core count. The walk starts by starting
     min(_spare_cores(), leaves - 1) worker processes (see _Pool and _work;
@@ -762,10 +754,8 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     in one queue, and an idle process takes the one with the most planned
     ledger FLOPs left; a worker is handed one only once it is ready, so a
     walk whose workers are still starting, or that has none, takes its
-    own parked branches back. At a split this process parks the heavier
-    side and keeps the lighter one, while a worker keeps the heavier one.
-    So the long unfrozen tails go to the workers, and this process, whose
-    epochs alone a wrapper of train_epoch sees, trains mostly frozen ones.
+    own parked branches back. The split rule is the same in every process,
+    so the stores a process filled for a frozen stretch are never parked.
     Every finished leaf waits for its turn: results come in _plan_branch's
     leaf order, each with a detector and records of its own, and this
     process writes each run directory as its result is yielded, so no
@@ -801,11 +791,9 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
         queue = [(None, every)]  # parked branches: (parked state or None, runs)
         finished = {}  # first run of a leaf -> (parameter file, measured pairs), until its turn
 
-        def split(*sides):
-            keep, park = sorted(sides, key=walk.flops)
-            queue.append(walk.park(park))
+        def hand_off(parked):
+            queue.append(parked)
             pool.serve(queue, finished)
-            return keep
 
         def turns():
             # the results of every leaf whose turn has come, with their run directories written
@@ -827,7 +815,7 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
             if not queue:
                 pool.serve(queue, finished, block=True)
             else:
-                for group in walk.train_branch(_heaviest(queue, ledgers), split):
+                for group in walk.train_branch(_heaviest(queue, ledgers), hand_off):
                     pool.serve(queue, finished)
                     yield from turns()
                 finished[group[0]] = walk.finish(group)

@@ -509,8 +509,9 @@ def decode_predictions(
     p_obj = _sigmoid(pred.objectness_logits)
     logits = pred.class_logits
     m = logits.max(axis=-1, keepdims=True)
-    probs = np.exp(logits - m)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # a +inf logit gives inf - inf; its NaN score is dropped below
+        probs = np.exp(logits - m)
+        probs /= probs.sum(axis=-1, keepdims=True)
     cls = probs.argmax(axis=-1)
     score = p_obj * np.take_along_axis(probs, cls[..., None], axis=-1)[..., 0]
 

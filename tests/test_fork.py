@@ -179,7 +179,7 @@ def test_grid_prints_each_seeds_runs_in_period_order(tmp_path, capsys):
 
 
 # The walk of the 8-epoch grid at switch 4 (18 train_epoch calls): at
-# every split the heavier side is parked and the heaviest parked branch is
+# every split the unfrozen side is parked and the heaviest parked branch is
 # next. Epochs 0-3 shared; epoch 4 parks {1, 2} and trains {5, 10, inf}
 # frozen; epoch 5 parks {5}; {10, inf} finish (call 8) and are yielded;
 # {1, 2} resumes (call 9), parks {1} at epoch 5, {2} finishes (call 12);
@@ -211,6 +211,36 @@ def test_a_failing_walk_leaves_no_parked_state_and_no_unfinished_run(tmp_path, m
     for rho in RHOS:
         run_dir = tmp_path / "grid" / "seed_0" / f"rho_{format_rho(rho)}"
         assert (run_dir / "checkpoint.bin").exists() == (format_rho(rho) in finished), rho
+
+
+def test_a_split_parks_the_unfrozen_side_and_keeps_the_stores(monkeypatch):
+    # The default grid's shape, in one process. A branch is parked only at
+    # an epoch where its runs train unfrozen, which fills no store, so no
+    # store filled for a frozen stretch is dropped by a park: the train
+    # store is filled once per frozen stretch of the trie (10 times) and
+    # the val store once per evaluation after the backbone moved (11).
+    base = _base(epochs=16, n_train=8, n_val=4, eval_every=4)
+    cfgs = [replace(base, schedule=ScheduleSpec([(4, 1), (math.inf, rho)])) for rho in RHOS]
+    ledgers = [plan_ledger(cfg) for cfg in cfgs]
+    parked_frozen, filled = [], []
+    real_park, real_fill = experiment.TrainState.park, experiment._backbone_outputs
+
+    def park(self, path):
+        # the file is "<first run>-<epoch>.bin"; a side's runs share the flag
+        run, epoch = map(int, os.path.basename(path)[:-len(".bin")].split("-"))
+        parked_frozen.append(ledgers[run].records[epoch].frozen)
+        return real_park(self, path)
+
+    def fill(detector, scenes, batch_size):
+        filled.append(len(scenes))
+        return real_fill(detector, scenes, batch_size)
+
+    _one_process(monkeypatch)
+    monkeypatch.setattr(experiment.TrainState, "park", park)
+    monkeypatch.setattr(experiment, "_backbone_outputs", fill)
+    list(run_experiments([(cfg, None) for cfg in cfgs]))
+    assert parked_frozen == [0] * 4
+    assert (filled.count(base.n_train), filled.count(base.n_val)) == (10, 11)
 
 
 def test_resume_empties_both_stores(tmp_path):

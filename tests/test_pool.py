@@ -24,7 +24,7 @@ import pytest
 from freezelab import experiment
 from freezelab.cli import main
 from freezelab.data import SceneConfig
-from freezelab.experiment import default_config, run_experiment, run_experiments, save_config
+from freezelab.experiment import default_config, plan_ledger, run_experiment, run_experiments, save_config
 from freezelab.schedule import ScheduleSpec, format_rho
 
 RUN_FILES = ("config.json", "curves.csv", "ledger.csv", "summary.csv", "checkpoint.bin")
@@ -181,7 +181,8 @@ def test_a_result_detector_holds_its_runs_parameters(tmp_path, monkeypatch, temp
 def test_a_pooled_walk_carries_only_measured_pairs(tmp_path, monkeypatch, temp_root):
     # What crosses a pipe or waits in the queue is a parameter file named
     # "<run>-<epochs trained>.bin" and one (mean_loss, val_map50) pair per
-    # trained epoch; the records are made from those and the plan.
+    # trained epoch; the records are made from those and the plan. Every
+    # process parks a branch only where its runs train unfrozen next.
     carried = {"park": [], "leaf": []}
     received = []  # the kinds of the workers' messages
     real_receive, real_park = experiment._receive, experiment.TrainState.park
@@ -210,11 +211,15 @@ def test_a_pooled_walk_carries_only_measured_pairs(tmp_path, monkeypatch, temp_r
     assert {"park", "leaf"} <= set(received)
     assert records[2] == records[1]
     cfg = _base()
+    ledgers = [plan_ledger(c) for c in _cfgs(tmp_path)]
     for kind, branches in carried.items():
         for path, measured in branches:
-            epochs = int(os.path.basename(path)[:-len(".bin")].split("-")[1])
+            run, epochs = map(int, os.path.basename(path)[:-len(".bin")].split("-"))
             assert len(measured) == epochs and 0 < epochs <= cfg.total_epochs
-            assert kind == "park" or epochs == cfg.total_epochs
+            if kind == "park":
+                assert not ledgers[run].records[epochs].frozen, path
+            else:
+                assert epochs == cfg.total_epochs
             for epoch, (mean_loss, val_map50) in enumerate(measured):
                 assert type(mean_loss) is float and math.isfinite(mean_loss)
                 assert type(val_map50) is (float if cfg.evaluates(epoch) else type(None))
@@ -290,8 +295,9 @@ def test_an_exception_in_a_worker_is_raised_here(tmp_path, monkeypatch, temp_roo
 
 
 def test_a_worker_that_dies_is_one_error_that_names_its_runs(tmp_path, monkeypatch, capsys, temp_root, workers):
-    # Killed at this process's epoch 5, while the worker holds {1, 2} or,
-    # after its own split, {1}.
+    # Killed at this process's epoch 5. The worker holds {1, 2}, or {2}
+    # once its own split at its epoch 5 has handed {1} back, so {2} is
+    # named whenever this process reads the death.
     _processes(monkeypatch, 2)
     real = experiment.train_epoch
 
@@ -305,10 +311,10 @@ def test_a_worker_that_dies_is_one_error_that_names_its_runs(tmp_path, monkeypat
     code, captured = _grid(tmp_path, "grid", capsys)
     assert code == 1
     [line] = captured.err.splitlines()
-    rho_1 = os.path.join(str(tmp_path / "grid"), "seed_0", "rho_1")
-    assert line.startswith("error: a worker process died (exit code -9)") and rho_1 in line
-    assert not os.path.exists(os.path.join(rho_1, "checkpoint.bin"))
-    assert not os.path.exists(os.path.join(str(tmp_path / "grid"), "seed_0", "rho_2", "checkpoint.bin"))
+    rho_2 = os.path.join(str(tmp_path / "grid"), "seed_0", "rho_2")
+    assert line.startswith("error: a worker process died (exit code -9)") and rho_2 in line
+    assert not os.path.exists(os.path.join(rho_2, "checkpoint.bin"))
+    assert not os.path.exists(os.path.join(str(tmp_path / "grid"), "seed_0", "rho_1", "checkpoint.bin"))
     _clean(temp_root)
 
 
