@@ -418,10 +418,10 @@ class TrainState:
     cache: RunCache
 
     def park(self, path) -> tuple:
-        """Set this state aside to resume later, as (path, measured): the
-        parameters go to `path` and the velocity to `path + ".velocity"`,
-        both in the checkpoint codec, and the measured pairs are copied.
-        The feature stores are not kept."""
+        """Set this state aside, as (path, measured), to resume later or to
+        be read as a finished leaf: the parameters go to `path` and the
+        velocity to `path + ".velocity"`, both in the checkpoint codec, and
+        the measured pairs are copied. The feature stores are not kept."""
         save_checkpoint(self.detector, path)
         save_arrays(self.optim.velocity, path + ".velocity")
         return path, list(self.measured)
@@ -506,6 +506,16 @@ def _plan_branch(ledgers: Sequence[FlopsLedger], group: list, epoch: int) -> tup
     return [group], flops
 
 
+def _route(branch: tuple, queue: list, finished: dict, ledgers: Sequence[FlopsLedger]) -> None:
+    """Keep a parked branch: a finished leaf, whose measured pairs cover
+    every epoch, in `finished` under its first run; any other on `queue`."""
+    parked, group = branch
+    if len(parked[1]) == len(ledgers[group[0]].records):
+        finished[group[0]] = parked
+    else:
+        queue.append(branch)
+
+
 def _heaviest(queue: list, ledgers: Sequence[FlopsLedger]) -> tuple:
     """Take the queued branch with the most planned ledger FLOPs left."""
     def left(k):
@@ -527,26 +537,17 @@ class _Walk:
         detector = build_detector(cfg.arch, init_seed=cfg.seed)
         self.state = TrainState(detector, OptimState(), [], RunCache(detector, self.train_scenes))
 
-    def path(self, group: list) -> str:
-        """The file of the branch of `group` at the state's epoch: a trie
-        node, so no two branches of one walk share it."""
-        return os.path.join(self.fork_dir, f"{group[0]}-{len(self.state.measured)}.bin")
-
     def park(self, group: list) -> tuple:
-        """The state parked as the branch of `group`: (parked, group)."""
-        return self.state.park(self.path(group)), group
+        """The state parked as the branch of `group` in its trie node's file: (parked, group)."""
+        path = os.path.join(self.fork_dir, f"{group[0]}-{len(self.state.measured)}.bin")
+        return self.state.park(path), group
 
-    def finish(self, group: list) -> tuple:
-        """The finished leaf of `group` set aside: (parameter file, measured pairs)."""
-        save_checkpoint(self.state.detector, self.path(group))
-        return self.path(group), self.state.measured
-
-    def train_branch(self, branch: tuple, hand_off: Callable[[tuple], None]) -> Iterator[list]:
-        """Train a (parked state or None, runs) branch to its leaf, and yield
-        the runs it trains for after every epoch. Where they part, the state
-        goes on with the frozen side, which reads the feature stores it may
-        hold, and the unfrozen side, which fills none, is parked and passed
-        to hand_off."""
+    def train_branch(self, branch: tuple, hand_off: Callable[[tuple], None]) -> Iterator[None]:
+        """Train a (parked state or None, runs) branch to its leaf, yielding
+        after every epoch. Where its runs part, the state goes on with the
+        frozen side, which reads the feature stores it may hold, and the
+        unfrozen side, which fills none, is parked and passed to hand_off.
+        The finished leaf is parked and passed to hand_off the same way."""
         parked, group = branch
         cfg, state = self.cfg, self.state
         if parked is not None:
@@ -567,7 +568,8 @@ class _Walk:
                                          cache=state.cache).map50
                        if cfg.evaluates(epoch) else None)
             state.measured.append((mean_loss, val_map))
-            yield group
+            yield
+        hand_off(self.park(group))
 
 
 # What a worker's BLAS reads at start-up; each worker runs one thread.
@@ -604,28 +606,26 @@ def _receive(fd: int):
 def _work() -> None:
     """A worker process of a walk, started by _Pool.start. Its stdin
     brings the walk's (config, planned ledgers, fork directory); once it
-    has built its _Walk from them it sends ("ready", None, None), and only
-    then is it handed a branch. Each branch it trains to its leaf and
-    answers with ("leaf", (parameter file, measured pairs), runs). Where
-    its runs part, it keeps the frozen side and sends the unfrozen one back
-    for the walk's queue as ("park", branch, None). An exception goes
-    back as ("error", exception, None) and ends the worker. Messages go
-    out on what was stdout; anything printed goes to stderr. Ctrl-C is
-    left to the walk, which ends its workers."""
+    has built its _Walk from them it sends ("ready", None), and only then
+    is it handed a branch. Each branch it trains to its leaf. Every branch
+    it parks goes back to the walk as ("park", branch): the unfrozen side
+    of each split, which it does not train, and the finished leaf. An
+    exception goes back as ("error", exception) and ends the worker.
+    Messages go out on what was stdout; anything printed goes to stderr.
+    Ctrl-C is left to the walk, which ends its workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     out = os.dup(1)
     os.dup2(2, 1)
     try:
         walk = _Walk(*_receive(0))
-        _send(out, ("ready", None, None))
+        _send(out, ("ready", None))
         while True:
-            for group in walk.train_branch(_receive(0), lambda parked: _send(out, ("park", parked, None))):
+            for _ in walk.train_branch(_receive(0), lambda parked: _send(out, ("park", parked))):
                 pass
-            _send(out, ("leaf", walk.finish(group), group))
     except EOFError:  # the walk has gone
         pass
     except Exception as exc:
-        _send(out, ("error", exc, None))
+        _send(out, ("error", exc))
 
 
 @dataclass
@@ -634,7 +634,7 @@ class _Worker:
     to: int  # the write end of its stdin
     back: int  # the read end of its stdout
     ready: bool = False  # once it has sent its ready message
-    group: Optional[list] = None  # the runs it trains, None while idle
+    group: list = field(default_factory=list)  # the runs it trains, none while idle
     exit_code: Optional[int] = None  # once it has been reaped
 
 
@@ -685,14 +685,11 @@ class _Pool:
             self.workers.append(_Worker(pid, to, back))
             self._talk(self.workers[-1], _send, to, self.setup)
 
-    def busy(self) -> bool:
-        return any(worker.group for worker in self.workers)
-
     def serve(self, queue: list, finished: dict, block: bool = False) -> None:
-        """Take in what the workers sent (ready messages, parked branches
-        onto `queue`, finished leaves into `finished` by their first run),
-        waiting for a message when `block`; then hand each ready and idle
-        worker the queued branch with the most planned FLOPs left."""
+        """Take in what the workers sent (ready messages, and parked branches,
+        which _route puts on `queue` or into `finished`), waiting for a
+        message when `block`; then hand each ready and idle worker the queued
+        branch with the most planned FLOPs left."""
         if not self.workers:
             return
         import select
@@ -700,19 +697,16 @@ class _Pool:
         by_fd = {worker.back: worker for worker in self.workers}
         for fd in select.select(list(by_fd), [], [], None if block else 0)[0]:
             worker = by_fd[fd]
-            kind, body, runs = self._talk(worker, _receive, fd)
+            kind, body = self._talk(worker, _receive, fd)
             if kind == "error":
                 raise body
             if kind == "ready":
                 worker.ready = True
-            elif kind == "park":
-                queue.append(body)
-                worker.group = [i for i in worker.group if i not in body[1]]
             else:
-                finished[runs[0]] = body
-                worker.group = None
+                _route(body, queue, finished, self.setup[1])
+                worker.group = [i for i in worker.group if i not in body[1]]
         for worker in self.workers:
-            if worker.ready and worker.group is None and queue:
+            if worker.ready and not worker.group and queue:
                 branch = _heaviest(queue, self.setup[1])
                 worker.group = branch[1]
                 self._talk(worker, _send, worker.to, branch)
@@ -724,7 +718,7 @@ class _Pool:
             return action(*args)
         except (EOFError, OSError):
             self._reap(worker)
-            runs = ", ".join(self.names[i] for i in worker.group or []) or "no run"
+            runs = ", ".join(self.names[i] for i in worker.group) or "no run"
             raise RuntimeError(f"a worker process died (exit code {worker.exit_code}) "
                                f"while it trained {runs}") from None
 
@@ -743,9 +737,9 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     delta and must describe a run of the same shape, which is checked
     against the planned ledger. The walk goes through the trie of the
     runs' planned freeze flags. Where they part, the frozen side goes on
-    from the live state and the unfrozen side is parked (see
-    _Walk.train_branch and TrainState.park) in a temporary directory that
-    goes when the walk ends or raises. Runs with one sequence share a
+    from the live state and the unfrozen side is parked, as is each leaf
+    (see _Walk.train_branch and TrainState.park), in a temporary directory
+    that goes when the walk ends or raises. Runs with one sequence share a
     leaf. Every run directory holds the bytes an independent run writes.
 
     One rule holds at any core count. The walk starts by starting
@@ -756,11 +750,12 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     walk whose workers are still starting, or that has none, takes its
     own parked branches back. The split rule is the same in every process,
     so the stores a process filled for a frozen stretch are never parked.
-    Every finished leaf waits for its turn: results come in _plan_branch's
-    leaf order, each with a detector and records of its own, and this
-    process writes each run directory as its result is yielded, so no
-    output depends on the core count. Leaving the walk in any way ends its
-    workers; a worker that dies is an error that names its runs.
+    Every finished leaf waits for its turn (_route): results come in
+    _plan_branch's leaf order, each with a detector and records of its own,
+    and this process writes each run directory as its result is yielded,
+    so no output depends on the core count; a leaf's files go once its
+    last run is yielded. Leaving the walk in any way ends its workers; a
+    worker that dies is an error that names its runs.
     """
     runs = list(runs)
     if not runs:
@@ -789,10 +784,10 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
         pool.start(min(_spare_cores(), len(leaves) - 1))
         walk = _Walk(cfg, ledgers, fork_dir)
         queue = [(None, every)]  # parked branches: (parked state or None, runs)
-        finished = {}  # first run of a leaf -> (parameter file, measured pairs), until its turn
+        finished = {}  # first run of a leaf -> its parked state, until its turn
 
-        def hand_off(parked):
-            queue.append(parked)
+        def hand_off(branch):
+            _route(branch, queue, finished, ledgers)
             pool.serve(queue, finished)
 
         def turns():
@@ -810,15 +805,15 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
                         write_run_dir(result)
                     yield result
                 os.remove(path)
+                os.remove(path + ".velocity")
 
-        while queue or pool.busy():
+        while queue or any(worker.group for worker in pool.workers):
             if not queue:
                 pool.serve(queue, finished, block=True)
             else:
-                for group in walk.train_branch(_heaviest(queue, ledgers), hand_off):
+                for _ in walk.train_branch(_heaviest(queue, ledgers), hand_off):
                     pool.serve(queue, finished)
                     yield from turns()
-                finished[group[0]] = walk.finish(group)
             yield from turns()
 
 

@@ -247,18 +247,20 @@ def plan_detector(arch_config: dict) -> Detector:
     drawn: it checks the arch without building it.
 
     The dict carries input_shape, grid_size, num_classes, and one list of
-    layer specs per group ('neck' may be absent or empty). Shapes are
-    chained through every layer; a mismatch raises ShapeChainError naming
-    both offending layers.
+    layer specs per group ('neck' may be absent or empty); a fault in them
+    is one ValueError that names the key or group. Shapes are chained
+    through every layer; a mismatch raises ShapeChainError naming both.
     """
     required = {"input_shape", "grid_size", "num_classes", "backbone", "head"}
-    missing = required - set(arch_config)
-    if missing:
-        raise ValueError(f"arch config is missing keys: {sorted(missing)}")
+    missing, unknown = required - set(arch_config), set(arch_config) - required - {"neck"}
+    if missing or unknown:
+        raise ValueError(f"arch config keys: missing {sorted(missing)}, unknown {sorted(unknown)}")
 
-    input_shape = tuple(arch_config["input_shape"])
-    if len(input_shape) != 3:
-        raise ValueError(f"input_shape must be [channels, H, W], got {input_shape}")
+    input_shape = arch_config["input_shape"]
+    if isinstance(input_shape, list):
+        input_shape = tuple(input_shape)
+    if not isinstance(input_shape, tuple) or len(input_shape) != 3:
+        raise ValueError(f"input_shape must be [channels, H, W], got {input_shape!r}")
     input_shape = tuple(_positive_int(s, f"input_shape[{i}]") for i, s in enumerate(input_shape))
     grid_size = _positive_int(arch_config["grid_size"], "grid_size")
     num_classes = _positive_int(arch_config["num_classes"], "num_classes")
@@ -266,15 +268,17 @@ def plan_detector(arch_config: dict) -> Detector:
     groups = {}
     next_id = 0
     for group in GROUPS:
+        specs = arch_config.get(group, [])
+        if not (isinstance(specs, (list, tuple)) and all(isinstance(spec, dict) for spec in specs)
+                and (specs or group == "neck")):
+            raise ValueError(f"arch group {group!r} must be a list of layers ('neck' may be empty), got {specs!r}")
         layers = []
-        for spec in arch_config.get(group) or []:
+        for spec in specs:
             spec = dict(spec)
             kind = spec.pop("kind", None)
             layers.append(Layer(kind, next_id, **spec))
             next_id += 1
         groups[group] = tuple(layers)
-    if not groups["backbone"] or not groups["head"]:
-        raise ValueError("arch config needs at least one backbone layer and one head layer")
 
     shape = input_shape
     prev: Optional[Layer] = None

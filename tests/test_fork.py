@@ -111,15 +111,21 @@ def test_a_walk_that_forks_at_epoch_0_writes_the_bytes_of_independent_runs(tmp_p
     # [inf:1] parts from the other two at epoch 0, before any step, so its
     # parked velocity is empty; [2:inf, inf:1] parts from [inf:inf] at
     # epoch 2 after two frozen epochs, so its parked velocity holds the
-    # neck and head only.
+    # neck and head only. Each of the three leaves is parked when it
+    # finishes, holding all five pairs.
     base = _base(epochs=5)
     schedules = [ScheduleSpec([(math.inf, math.inf)]), ScheduleSpec([(2, math.inf), (math.inf, 1)]),
                  ScheduleSpec([(math.inf, 1)])]
-    parked = []
+    parked, leaves = [], []
     real_park = experiment.TrainState.park
 
     def park(self, path):
-        parked.append(set(self.optim.velocity))
+        # the file is "<first run>-<epoch>.bin"
+        epoch = int(os.path.basename(path)[:-len(".bin")].split("-")[1])
+        if epoch == base.total_epochs:
+            leaves.append(len(self.measured))
+        else:
+            parked.append(set(self.optim.velocity))
         return real_park(self, path)
 
     def cfgs(root):
@@ -133,6 +139,7 @@ def test_a_walk_that_forks_at_epoch_0_writes_the_bytes_of_independent_runs(tmp_p
     backbone = set(parameter_groups(plan_detector(base.arch))["backbone"])
     assert len(parked) == 2 and parked[0] == set()
     assert parked[1] and not parked[1] & backbone
+    assert leaves == [base.total_epochs] * len(schedules)
     for cfg in cfgs("alone"):
         run_experiment(cfg)
     for i in range(len(schedules)):
@@ -219,16 +226,21 @@ def test_a_split_parks_the_unfrozen_side_and_keeps_the_stores(monkeypatch):
     # store filled for a frozen stretch is dropped by a park: the train
     # store is filled once per frozen stretch of the trie (10 times) and
     # the val store once per evaluation after the backbone moved (11).
+    # Each of the five leaves is parked when it finishes, holding all its
+    # pairs.
     base = _base(epochs=16, n_train=8, n_val=4, eval_every=4)
     cfgs = [replace(base, schedule=ScheduleSpec([(4, 1), (math.inf, rho)])) for rho in RHOS]
     ledgers = [plan_ledger(cfg) for cfg in cfgs]
-    parked_frozen, filled = [], []
+    parked_frozen, leaves, filled = [], [], []
     real_park, real_fill = experiment.TrainState.park, experiment._backbone_outputs
 
     def park(self, path):
         # the file is "<first run>-<epoch>.bin"; a side's runs share the flag
         run, epoch = map(int, os.path.basename(path)[:-len(".bin")].split("-"))
-        parked_frozen.append(ledgers[run].records[epoch].frozen)
+        if epoch == base.total_epochs:
+            leaves.append(len(self.measured))
+        else:
+            parked_frozen.append(ledgers[run].records[epoch].frozen)
         return real_park(self, path)
 
     def fill(detector, scenes, batch_size):
@@ -240,6 +252,7 @@ def test_a_split_parks_the_unfrozen_side_and_keeps_the_stores(monkeypatch):
     monkeypatch.setattr(experiment, "_backbone_outputs", fill)
     list(run_experiments([(cfg, None) for cfg in cfgs]))
     assert parked_frozen == [0] * 4
+    assert leaves == [base.total_epochs] * len(RHOS)
     assert (filled.count(base.n_train), filled.count(base.n_val)) == (10, 11)
 
 

@@ -1,6 +1,7 @@
 """Detector tests: construction, the freeze-gated forward pass, the fused
 loss, target codecs, and checkpointing."""
 
+import json
 import re
 import struct
 
@@ -10,6 +11,7 @@ import pytest
 from freezelab import autodiff as ad
 from freezelab.autodiff import Tape, Tensor, backward
 from freezelab.evaluation import BBox, GroundTruth
+from freezelab.experiment import load_config
 from freezelab.model import (
     Detector,
     Layer,
@@ -25,6 +27,7 @@ from freezelab.model import (
     flops_specs,
     load_checkpoint,
     parameter_groups,
+    plan_detector,
     restore_checkpoint,
     save_arrays,
     save_checkpoint,
@@ -119,6 +122,32 @@ def test_missing_arch_keys_rejected():
         build_detector(arch, init_seed=0)
     with pytest.raises(ValueError):
         build_detector({"input_shape": [1, 8, 8]}, init_seed=0)
+
+
+def _arch_with(drop=(), **keys):
+    arch = {key: value for key, value in default_desk_arch().items() if key not in drop}
+    return {**arch, **keys}
+
+
+LAYERS = "must be a list of layers ('neck' may be empty), got"
+
+
+@pytest.mark.parametrize("arch,message", [
+    (_arch_with(drop=["neck"], nek=[{"kind": "flatten"}]), "arch config keys: missing [], unknown ['nek']"),
+    (_arch_with(grid=4), "arch config keys: missing [], unknown ['grid']"),
+    (_arch_with(head=[5]), f"arch group 'head' {LAYERS} [5]"),
+    (_arch_with(head=[]), f"arch group 'head' {LAYERS} []"),
+    (_arch_with(backbone="conv"), f"arch group 'backbone' {LAYERS} 'conv'"),
+    (_arch_with(neck=None), f"arch group 'neck' {LAYERS} None"),
+    (_arch_with(input_shape=32), "input_shape must be [channels, H, W], got 32"),
+], ids=["nek", "grid", "head-int", "head-empty", "backbone-str", "neck-null", "input-int"])
+def test_a_malformed_arch_is_one_error_that_names_its_key_or_group(tmp_path, arch, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        plan_detector(arch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"arch": arch}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_config(path)
 
 
 def test_neck_is_optional():

@@ -182,22 +182,23 @@ def test_a_pooled_walk_carries_only_measured_pairs(tmp_path, monkeypatch, temp_r
     # What crosses a pipe or waits in the queue is a parameter file named
     # "<run>-<epochs trained>.bin" and one (mean_loss, val_map50) pair per
     # trained epoch; the records are made from those and the plan. Every
-    # process parks a branch only where its runs train unfrozen next.
-    carried = {"park": [], "leaf": []}
-    received = []  # the kinds of the workers' messages
+    # process parks a branch only where its runs train unfrozen next, or
+    # at its leaf, which then holds a pair for every epoch.
+    carried = []
+    received = []  # the kinds of the workers' messages, and whether a park was a leaf's
     real_receive, real_park = experiment._receive, experiment.TrainState.park
 
     def receive(fd):
-        kind, body, _ = message = real_receive(fd)
-        received.append(kind)
-        if kind in carried:  # copied, since a state resumed from it goes on
-            path, measured = body[0] if kind == "park" else body
-            carried[kind].append((path, list(measured)))
+        kind, body = message = real_receive(fd)
+        if kind == "park":
+            (path, measured), _ = body
+            carried.append((path, list(measured)))
+        received.append((kind, kind == "park" and len(body[0][1]) == _base().total_epochs))
         return message
 
     def park(self, path):
         parked = real_park(self, path)
-        carried["park"].append((parked[0], list(parked[1])))
+        carried.append((parked[0], list(parked[1])))  # copied, since a state resumed from it goes on
         return parked
 
     records = {}
@@ -207,22 +208,51 @@ def test_a_pooled_walk_carries_only_measured_pairs(tmp_path, monkeypatch, temp_r
         monkeypatch.setattr(experiment.TrainState, "park", park)
         results = run_experiments([(cfg, None) for cfg in _cfgs(tmp_path / str(n))])
         records[n] = [(os.path.basename(r.config.output_dir), r.records) for r in results]
-    # a worker parked and finished branches of its own
-    assert {"park", "leaf"} <= set(received)
+    # a worker parked split sides and finished leaves of its own
+    assert {("park", False), ("park", True)} <= set(received)
     assert records[2] == records[1]
     cfg = _base()
     ledgers = [plan_ledger(c) for c in _cfgs(tmp_path)]
-    for kind, branches in carried.items():
-        for path, measured in branches:
-            run, epochs = map(int, os.path.basename(path)[:-len(".bin")].split("-"))
-            assert len(measured) == epochs and 0 < epochs <= cfg.total_epochs
-            if kind == "park":
-                assert not ledgers[run].records[epochs].frozen, path
-            else:
-                assert epochs == cfg.total_epochs
-            for epoch, (mean_loss, val_map50) in enumerate(measured):
-                assert type(mean_loss) is float and math.isfinite(mean_loss)
-                assert type(val_map50) is (float if cfg.evaluates(epoch) else type(None))
+    for path, measured in carried:
+        run, epochs = map(int, os.path.basename(path)[:-len(".bin")].split("-"))
+        assert len(measured) == epochs and 0 < epochs <= cfg.total_epochs
+        if epochs < cfg.total_epochs:
+            assert not ledgers[run].records[epochs].frozen, path
+        for epoch, (mean_loss, val_map50) in enumerate(measured):
+            assert type(mean_loss) is float and math.isfinite(mean_loss)
+            assert type(val_map50) is (float if cfg.evaluates(epoch) else type(None))
+    _clean(temp_root)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_finished_leafs_files_leave_the_fork_directory_once_its_last_run_is_yielded(tmp_path, monkeypatch,
+                                                                                     temp_root, n):
+    # A finished leaf is parked as "<first run>-<epochs>.bin" and its
+    # velocity file. A copy of rho=inf shares its leaf, so that leaf is
+    # yielded twice. At every yield the yielded run's leaf still holds both
+    # files, and every leaf whose runs have all been yielded holds none.
+    _processes(monkeypatch, n)
+    cfgs = _cfgs(tmp_path / "runs")
+    cfgs.append(replace(cfgs[-1], output_dir=None))
+    leaves = experiment._plan_branch([plan_ledger(c) for c in cfgs], list(range(len(cfgs))), 0)[0]
+    assert [len(leaf) for leaf in leaves] == [2, 1, 1, 1, 1]
+
+    def files(leaf):
+        path = f"{leaf[0]}-{_base().total_epochs}.bin"
+        return {path, path + ".velocity"}
+
+    yielded = []
+    for result in run_experiments([(cfg, None) for cfg in cfgs]):
+        [fork_dir] = temp_root.iterdir()
+        held = set(os.listdir(fork_dir))
+        run = next(i for i, cfg in enumerate(cfgs) if cfg is result.config)
+        [leaf] = [leaf for leaf in leaves if run in leaf]
+        assert files(leaf) <= held, (run, held)
+        for done in leaves:
+            if done is not leaf and set(done) <= set(yielded):
+                assert not files(done) & held, (run, done, held)
+        yielded.append(run)
+    assert sorted(yielded) == list(range(len(cfgs)))
     _clean(temp_root)
 
 

@@ -37,7 +37,10 @@ decodes, once per evaluation. A run directory has one reader: only
 `experiment.read_run_dir` reads a `curves.csv` or rows under
 `LEDGER_COLUMNS`, so `report --run`, `report --baseline` and `run
 --baseline` hold a directory to its config's plan alike. A ledger grows
-only by `FlopsLedger.record_epoch`: it has no `append`."""
+only by `FlopsLedger.record_epoch`: it has no `append`. A walk sets a
+state aside one way: in `experiment`, only `TrainState.park` and
+`write_run_dir` write a parameter file (`save_checkpoint`), and a worker
+sends only `ready`, `park` and `error` messages."""
 
 import ast
 import subprocess
@@ -252,6 +255,29 @@ def test_a_ledger_grows_only_by_record_epoch():
 
 # The modules and calls through which a module could start a process.
 PROCESS_MODULES = {"multiprocessing", "subprocess", "concurrent", "pty"}
+def test_a_walk_sets_every_state_aside_one_way():
+    # a parameter file is written only by a park and as a run's checkpoint.bin
+    tree = _tree("experiment")
+    writers = set()
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Name) and node.id == "save_checkpoint":
+            writers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    assert writers == {"park", "write_run_dir"}
+    # a worker's messages are (kind, body) pairs of three kinds
+    (work,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_work"]
+    messages = [call.args[1] for call in ast.walk(work)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_send"]
+    assert all(isinstance(message, ast.Tuple) and len(message.elts) == 2 for message in messages)
+    assert sorted(message.elts[0].value for message in messages) == ["error", "park", "ready"]
+
+
 PROCESS_CALLS = {"fork", "forkpty", "system", "popen", "posix_spawn", "posix_spawnp", "spawnv", "spawnve",
                  "spawnvp", "spawnvpe", "spawnl", "spawnle", "spawnlp", "spawnlpe", "execv", "execve",
                  "execvp", "execvpe", "execl", "execle", "execlp", "execlpe"}
