@@ -59,14 +59,7 @@ from .model import (
 )
 from .optim import OptimState, SgdConfig, clip_gradients, sgd_step
 from .rng import STREAM_BATCH_SHUFFLE, generator
-from .schedule import (
-    LrConfig,
-    ScheduleSpec,
-    format_rho,
-    freeze_signals,
-    lr_at,
-    parse_rho,
-)
+from .schedule import LrConfig, ScheduleSpec, freeze_signals, lr_at
 
 __all__ = [
     "CONFIG_VERSION",
@@ -152,19 +145,9 @@ default_config = ExperimentConfig
 # config (de)serialization: one versioned JSON document
 
 
-def _schedule_to_json(spec: ScheduleSpec) -> list:
-    return [["inf" if end == math.inf else int(end), format_rho(rho)] for end, rho in spec.phases]
-
-
-def _schedule_from_json(raw) -> ScheduleSpec:
-    if not isinstance(raw, list) or not all(isinstance(item, list) and len(item) == 2 for item in raw):
-        raise ValueError(f"config key 'schedule' must be a list of [end_epoch, rho] pairs, got {raw!r}")
-    return ScheduleSpec([(end, parse_rho(rho)) for end, rho in raw])
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The config as one JSON-ready dict of fresh objects."""
-    return {"version": CONFIG_VERSION, **asdict(cfg), "schedule": _schedule_to_json(cfg.schedule)}
+    return {"version": CONFIG_VERSION, **asdict(cfg), "schedule": cfg.schedule.to_json()}
 
 
 _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (dict, "an object"),
@@ -213,7 +196,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if section in raw:
             kwargs[section] = _build_section(cls, raw[section], section)
     if "schedule" in raw:
-        kwargs["schedule"] = _schedule_from_json(raw["schedule"])
+        kwargs["schedule"] = ScheduleSpec.from_json(raw["schedule"])
     return ExperimentConfig(**kwargs)
 
 

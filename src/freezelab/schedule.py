@@ -1,4 +1,5 @@
-"""Freeze scheduling (step and phased) and the learning-rate schedule.
+"""Freeze scheduling (step and phased), a schedule's text forms, and the
+learning-rate schedule.
 
 The freeze signal convention: 0 allows backbone updates for the epoch,
 1 freezes the backbone. Epochs are 0-indexed everywhere. The period value
@@ -100,10 +101,21 @@ class ScheduleSpec:
                 return rho
         raise AssertionError("unreachable: last phase covers inf")
 
+    def to_json(self) -> list:
+        """The config form: one [end_epoch, rho] pair per phase, with
+        infinity spelled "inf" and every rho as text."""
+        return [["inf" if end == math.inf else int(end), format_rho(rho)] for end, rho in self.phases]
+
+    @classmethod
+    def from_json(cls, raw) -> ScheduleSpec:
+        """The schedule a config form (see to_json) describes."""
+        if not isinstance(raw, list) or not all(isinstance(item, list) and len(item) == 2 for item in raw):
+            raise ValueError(f"config key 'schedule' must be a list of [end_epoch, rho] pairs, got {raw!r}")
+        return cls([(end, parse_rho(rho)) for end, rho in raw])
+
     def describe(self) -> str:
-        return "|".join(
-            f"{'inf' if end == math.inf else end}:{format_rho(rho)}" for end, rho in self.phases
-        )
+        """The one-line form, phases joined by '|', e.g. '4:1|inf:2'."""
+        return "|".join(f"{end}:{rho}" for end, rho in self.to_json())
 
 
 def step_freeze_signal(epoch: int, rho: Rho) -> int:

@@ -40,9 +40,13 @@ decodes, once per evaluation. A run directory has one reader: only
 only by `FlopsLedger.record_epoch`: it has no `append`. A walk sets a
 state aside one way: in `experiment`, only `TrainState.park` and
 `write_run_dir` write a parameter file (`save_checkpoint`), and a worker
-sends only `ready`, `park` and `error` messages."""
+sends only `ready`, `park` and `error` messages. A schedule's text forms
+live in `schedule.ScheduleSpec` (`to_json`, `from_json`, `describe`):
+`experiment` defines no schedule codec and imports neither `format_rho`
+nor `parse_rho`."""
 
 import ast
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -50,8 +54,9 @@ from pathlib import Path
 
 import pytest
 
-from freezelab.experiment import LEDGER_COLUMNS
+from freezelab.experiment import LEDGER_COLUMNS, ExperimentConfig
 from freezelab.flops import EpochFlopsRecord
+from freezelab.schedule import ScheduleSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "freezelab"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
@@ -251,6 +256,22 @@ def test_a_ledger_grows_only_by_record_epoch():
     (ledger,) = [node for node in _tree("flops").body if isinstance(node, ast.ClassDef) and node.name == "FlopsLedger"]
     methods = {node.name for node in ledger.body if isinstance(node, ast.FunctionDef)}
     assert "record_epoch" in methods and "append" not in methods
+
+
+def test_experiment_leaves_a_schedules_text_forms_to_schedule_spec():
+    tree = _tree("experiment")
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and "schedule" in node.name] == []
+    assert {name for _, name in _imports(tree)} & {"format_rho", "parse_rho"} == set()
+
+
+@pytest.mark.parametrize("spec", [
+    ExperimentConfig().schedule,
+    ScheduleSpec([(4, 1), (math.inf, 5)]),
+    ScheduleSpec([(4, math.inf), (math.inf, 1)]),
+], ids=["default", "grid", "frozen-first"])
+def test_a_schedule_reads_back_its_config_form(spec):
+    assert ScheduleSpec.from_json(spec.to_json()) == spec
 
 
 # The modules and calls through which a module could start a process.
