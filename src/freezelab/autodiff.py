@@ -3,16 +3,16 @@
 Computation is define-by-run: operations executed while a :class:`Tape` is
 active append one node each, so append order is already a topological order
 and :func:`backward` replays the nodes exactly once in reverse. The engine
-exists to make gradient flow *controllable*: :func:`detach` severs a value
-from its producers so nothing upstream of it ever receives gradient, and
-:func:`pause_recording` lets a caller run a subgraph without building tape
-nodes at all (identical forward values, no backward path).
+exists to make gradient flow *controllable*: a tensor built from another's
+``data`` is cut off from its producers, and :func:`pause_recording` lets a
+caller run a subgraph without building tape nodes at all (identical forward
+values, no backward path).
 
 Activity rule (the "activity analysis" of Griewank & Walther, *Evaluating
 Derivatives*): conv2d and matmul, whose adjoints cost real work, read each
 operand's ``requires_grad`` when they record their node, and their
 backward functions return None for every operand that was not set. A leaf
-image or a detached tensor then costs no gradient work: conv2d skips its
+image or a cut-off tensor then costs no gradient work: conv2d skips its
 whole input-gradient sweep for it. A tensor produced on the tape always
 requires grad, so no adjoint that reaches a leaf is ever skipped.
 
@@ -46,7 +46,6 @@ __all__ = [
     "reduce_mean",
     "reduce_sum",
     "reshape",
-    "detach",
     "backward",
     "pause_recording",
     "record_external",
@@ -385,15 +384,6 @@ def reduce_mean(x: Tensor) -> Tensor:
     return record_external("mean", np.asarray(x.data.mean()), (x,), bwd)
 
 
-def detach(t: Tensor) -> Tensor:
-    """Value-identical tensor with no gradient linkage to t's producers.
-
-    Anything computed downstream of the result contributes zero gradient
-    to everything upstream of `t`.
-    """
-    return Tensor(t.data, requires_grad=False)
-
-
 # Node kinds of the arithmetic primitives; the finite-difference gradient
 # oracle of the test suite sweeps every one of them.
 PRIMITIVE_KINDS = ("add", "multiply", "matmul", "conv2d", "relu", "maxpool2d", "flatten", "mean", "sum")
@@ -403,9 +393,8 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
     """Reverse sweep over `tape` from a scalar `loss`.
 
     Returns gradients for every requires-grad leaf reachable from the
-    loss, keyed by tensor uid. Leaves cut off (e.g. by detach) are simply
-    absent, so a loss built solely on detached tensors yields no entries
-    at all. Deterministic: one reverse pass in tape order.
+    loss, keyed by tensor uid; a loss built solely on cut-off tensors
+    yields none. Deterministic: one reverse pass in tape order.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")

@@ -23,7 +23,7 @@ from .experiment import (
     ExperimentConfig,
     load_config,
     plan_ledger,
-    read_run_dir,
+    read_baseline,
     rebuild_summary,
     run_experiment,
     run_experiments,
@@ -43,7 +43,7 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, output_dir=args.out)
     if cfg.output_dir is None:
         raise ValueError("config has no output_dir and --out was not given")
-    baseline = read_run_dir(args.baseline)[1] if args.baseline else None
+    baseline = read_baseline(args.baseline, plan_ledger(cfg), cfg.output_dir) if args.baseline else None
     summary = run_experiment(cfg, baseline_ledger=baseline).summary
     print(f"run complete: {cfg.output_dir}")
     print(f"  schedule           {summary['schedule']}")
@@ -93,8 +93,8 @@ def _cmd_grid(args) -> int:
     if not (0 < switch < base.total_epochs):
         raise ValueError(f"--switch must fall inside (0, total_epochs={base.total_epochs}), got {switch}")
 
+    labels = [format_rho(rho) for rho in rhos]
     rows = []
-    per_rho_delta_map: dict = {rho: [] for rho in rhos if rho != 1}
     for seed in seeds:
         # One walk per seed trains each shared freeze prefix once. rhos[0]
         # is the rho=1 baseline; its planned ledger fills every other
@@ -105,23 +105,19 @@ def _cmd_grid(args) -> int:
                 seed=seed,
                 scene=replace(base.scene, seed=seed),
                 schedule=ScheduleSpec([(switch, 1), (math.inf, rho)]),
-                output_dir=os.path.join(out_root, f"seed_{seed}", f"rho_{format_rho(rho)}"),
+                output_dir=os.path.join(out_root, f"seed_{seed}", f"rho_{label}"),
             )
-            for rho in rhos
+            for rho, label in zip(rhos, labels)
         ]
         baseline_ledger = plan_ledger(cfgs[0])
-        finished = {}  # output_dir -> summary; no finished run keeps its detector here
-        for result in run_experiments([(cfg, None if rho == 1 else baseline_ledger)
-                                       for rho, cfg in zip(rhos, cfgs)]):
-            finished[result.config.output_dir] = result.summary
+        # output_dir -> summary; no finished run keeps its detector here
+        finished = {result.config.output_dir: result.summary
+                    for result in run_experiments([(cfg, None if rho == 1 else baseline_ledger)
+                                                   for rho, cfg in zip(rhos, cfgs)])}
         baseline_map = finished[cfgs[0].output_dir]["final_map50"]
-        for rho, cfg in zip(rhos, cfgs):
-            label = format_rho(rho)
+        for rho, label, cfg in zip(rhos, labels, cfgs):
             summary = finished[cfg.output_dir]
-            delta_map = None
-            if rho != 1:
-                delta_map = summary["final_map50"] - baseline_map
-                per_rho_delta_map[rho].append(delta_map)
+            delta_map = None if rho == 1 else summary["final_map50"] - baseline_map
             rows.append([seed, label, summary["final_map50"], summary["total_flops"],
                          summary["delta_flops_vs_baseline"], summary["estimated_minutes"], delta_map])
             print(f"rho={label} seed={seed}: mAP@50={summary['final_map50']:.4f} "
@@ -130,16 +126,13 @@ def _cmd_grid(args) -> int:
     write_table(os.path.join(out_root, "grid_summary.csv"), GRID_SUMMARY_COLUMNS, rows)
 
     # Per-period change in mAP against the rho=1 baseline, aggregated over
-    # seeds: mean and sample standard deviation, which one seed does not
-    # have.
+    # seeds from the grid rows' last cells (delta_map50_vs_rho1) in seed
+    # order: mean and sample standard deviation, which one seed lacks.
     delta_rows = []
-    for rho in rhos:
-        if rho == 1:
-            continue
-        values = per_rho_delta_map[rho]
+    for label in labels[1:]:
+        values = [row[-1] for row in rows if row[1] == label]
         n = len(values)
         mean = sum(values) / n
-        label = format_rho(rho)
         if n == 1:
             std, formatted = None, f"{mean:+.4f} (n=1)"
         else:

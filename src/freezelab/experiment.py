@@ -88,6 +88,7 @@ __all__ = [
     "read_summary_csv",
     "write_run_dir",
     "read_run_dir",
+    "read_baseline",
     "rebuild_summary",
     "CURVES_COLUMNS",
     "LEDGER_COLUMNS",
@@ -1011,12 +1012,22 @@ def read_run_dir(run_dir) -> tuple[ExperimentConfig, FlopsLedger, list[EpochReco
     return cfg, ledger, records
 
 
+def read_baseline(baseline_dir, ledger: FlopsLedger, run_dir) -> FlopsLedger:
+    """baseline_dir's planned ledger (read_run_dir), which must describe a
+    run of `ledger`'s shape (delta_flops): else one ValueError naming both."""
+    baseline = read_run_dir(baseline_dir)[1]
+    try:
+        delta_flops(ledger, baseline)
+    except ValueError as exc:
+        raise ValueError(f"{run_dir} cannot be compared with baseline {baseline_dir}: {exc}") from None
+    return baseline
+
+
 def rebuild_summary(run_dir, baseline_dir) -> dict:
     """Rewrite run_dir/summary.csv with deltas against baseline_dir's
     ledger, and return the new summary. No other file is written. Both
     directories are read by read_run_dir."""
     cfg, ledger, records = read_run_dir(run_dir)
-    _, baseline, _ = read_run_dir(baseline_dir)
-    summary = summarize_run(cfg, records, ledger, baseline)
+    summary = summarize_run(cfg, records, ledger, read_baseline(baseline_dir, ledger, run_dir))
     write_summary_csv(summary, os.path.join(run_dir, "summary.csv"))
     return summary

@@ -1,5 +1,4 @@
-"""Freeze scheduling (step and phased), a schedule's text forms, and the
-learning-rate schedule.
+"""Freeze schedules, their text forms, and the learning-rate schedule.
 
 The freeze signal convention: 0 allows backbone updates for the epoch,
 1 freezes the backbone. Epochs are 0-indexed everywhere. The period value
@@ -19,7 +18,6 @@ __all__ = [
     "Rho",
     "ScheduleSpec",
     "LrConfig",
-    "step_freeze_signal",
     "phase_freeze_signal",
     "freeze_signals",
     "lr_at",
@@ -118,23 +116,14 @@ class ScheduleSpec:
         return "|".join(f"{end}:{rho}" for end, rho in self.to_json())
 
 
-def step_freeze_signal(epoch: int, rho: Rho) -> int:
-    """0 (update the backbone) only on epochs that are multiples of rho.
-
-    rho=1 unfreezes every epoch (plain full training); rho=inf never
-    unfreezes (a permanently frozen backbone).
-    """
+def phase_freeze_signal(epoch: int, spec: ScheduleSpec) -> int:
+    """0 (update the backbone) only on epochs that are multiples of the
+    covering phase's rho: rho=1 unfreezes every epoch (plain full
+    training), rho=inf none (a permanently frozen backbone)."""
     if epoch < 0:
         raise ValueError(f"epoch must be non-negative, got {epoch}")
-    _check_rho(rho)
-    if rho == math.inf:
-        return BACKBONE_FROZEN
-    return BACKBONE_UNFROZEN if epoch % rho == 0 else BACKBONE_FROZEN
-
-
-def phase_freeze_signal(epoch: int, spec: ScheduleSpec) -> int:
-    """Freeze signal under a phased schedule: pick the phase, then step."""
-    return step_freeze_signal(epoch, spec.rho_at(epoch))
+    rho = spec.rho_at(epoch)
+    return BACKBONE_UNFROZEN if rho != math.inf and epoch % rho == 0 else BACKBONE_FROZEN
 
 
 def freeze_signals(spec: ScheduleSpec, total_epochs: int) -> tuple:

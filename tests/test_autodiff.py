@@ -1,5 +1,6 @@
 """Engine tests: every primitive against finite differences, detach
-semantics, tape bookkeeping, and error paths."""
+semantics (a tensor built from another's data is cut off from its
+producers), tape bookkeeping, and error paths."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from freezelab.autodiff import (
     Tape,
     Tensor,
     backward,
-    detach,
     pause_recording,
 )
 
@@ -96,12 +96,15 @@ def test_backward_rejects_empty_tape():
 
 
 # --------------------------------------------------------------------------
-# detach
+# detach: Tensor(x.data) is x's value cut off from its producers
 
 
 def test_detach_preserves_values():
-    t = Tensor([1.5, -2.0])
-    d = detach(t)
+    w = Tensor([1.5, -2.0], requires_grad=True)
+    with Tape():
+        t = ad.multiply(w, w)
+        d = Tensor(t.data)
+    assert t.requires_grad
     assert np.array_equal(d.data, t.data)
     assert not d.requires_grad
 
@@ -110,15 +113,15 @@ def test_detach_blocks_gradient():
     w = Tensor([1.0, 2.0], requires_grad=True)
     x = Tensor([3.0, 4.0])
     with Tape() as tape:
-        y = detach(ad.multiply(w, x))
+        y = Tensor(ad.multiply(w, x).data)
         loss = ad.reduce_sum(y)
-    # the loss lives entirely behind the detach: no gradient reaches w
+    # the loss lives entirely behind the cut: no gradient reaches w
     grads = backward(loss, tape)
     assert grads == {}
 
 
 def test_detach_half_of_sum():
-    # z = w*x + detach(w*x): only the live half contributes gradient, so
+    # z = w*x + cut(w*x): only the live half contributes gradient, so
     # d(sum z)/dw equals the gradient of sum(w*x) alone.
     w0 = np.array([1.0, -2.0, 0.5])
     x0 = np.array([3.0, 4.0, -1.0])
@@ -126,12 +129,12 @@ def test_detach_half_of_sum():
     x = Tensor(x0)
     with Tape() as tape:
         live = ad.multiply(w, x)
-        z = ad.add(live, detach(ad.multiply(w, x)))
+        z = ad.add(live, Tensor(ad.multiply(w, x).data))
         loss = ad.reduce_sum(z)
     grads = backward(loss, tape)
     assert np.array_equal(grads[w.uid].data, x0)
-    # and it matches finite differences of the detached expression, where
-    # the second term is held constant
+    # and it matches finite differences of the cut expression, where the
+    # second term is held constant
     frozen = w0 * x0
     numeric = fd_gradient(lambda a: float(np.sum(a * x0 + frozen)), [w0.copy()], 0)
     assert rel_error(grads[w.uid].data, numeric) <= 1e-6
@@ -142,7 +145,7 @@ def test_forward_values_unchanged_by_detach():
     a = rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4))
     plain = ad.matmul(ad.relu(Tensor(a)), Tensor(b))
-    cut = ad.matmul(detach(ad.relu(Tensor(a))), Tensor(b))
+    cut = ad.matmul(Tensor(ad.relu(Tensor(a)).data), Tensor(b))
     assert np.array_equal(plain.data, cut.data)
 
 
@@ -324,7 +327,7 @@ def test_inactive_operands_get_no_adjoint():
         f = Tensor(features, requires_grad=inputs_require_grad)
         with Tape() as tape:
             conv = ad.conv2d(x, w, bias=b, stride=1)
-            dense = ad.matmul(f if inputs_require_grad else detach(f), head)
+            dense = ad.matmul(f if inputs_require_grad else Tensor(f.data), head)
             loss = ad.add(scalar_loss(conv), scalar_loss(dense))
         adjoints = {out: tape.nodes[out.node_id].backward_fn(np.ones(out.shape)) for out in (conv, dense)}
         return x, f, adjoints[conv], adjoints[dense], backward(loss, tape)

@@ -101,6 +101,41 @@ def test_run_rejects_a_baseline_of_another_shape_before_training(tmp_path, capsy
     assert not out.exists()
 
 
+SHAPE_ERROR = "ledgers describe different runs (model, epochs, or sample counts differ)"
+
+
+def test_run_names_the_baseline_of_another_shape(tmp_path, capsys, monkeypatch):
+    cfg_path, base_cfg = tmp_path / "a.json", tmp_path / "b.json"
+    _small_config_file(cfg_path, epochs=1, n_train=16)
+    _small_config_file(base_cfg, epochs=1, n_train=24)
+    base_out = tmp_path / "runB"
+    assert main(["run", "--config", str(base_cfg), "--out", str(base_out)]) == 0
+    trained = []
+    monkeypatch.setattr(experiment, "train_epoch", lambda *args, **kwargs: trained.append(args))
+
+    capsys.readouterr()
+    out = tmp_path / "runC"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--baseline", str(base_out)]) == 1
+    assert capsys.readouterr().err == f"error: {out} cannot be compared with baseline {base_out}: {SHAPE_ERROR}\n"
+    assert trained == []
+    assert not out.exists()
+
+
+def test_report_names_the_run_and_the_baseline_of_another_shape(tmp_path, capsys):
+    cfg_path, base_cfg = tmp_path / "a.json", tmp_path / "b.json"
+    _small_config_file(cfg_path, epochs=1, n_train=16)
+    _small_config_file(base_cfg, epochs=1, n_train=24)
+    run_out, base_out = tmp_path / "runA", tmp_path / "runB"
+    assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+    assert main(["run", "--config", str(base_cfg), "--out", str(base_out)]) == 0
+    summary = (run_out / "summary.csv").read_bytes()
+
+    capsys.readouterr()
+    assert main(["report", "--run", str(run_out), "--baseline", str(base_out)]) == 1
+    assert capsys.readouterr().err == f"error: {run_out} cannot be compared with baseline {base_out}: {SHAPE_ERROR}\n"
+    assert (run_out / "summary.csv").read_bytes() == summary
+
+
 def test_report_rebuilds_the_summary(tmp_path, capsys):
     base_cfg = tmp_path / "base.json"
     _small_config_file(base_cfg)

@@ -22,7 +22,7 @@ from freezelab.flops import (
     layer_forward_flops,
 )
 from freezelab.model import Layer
-from freezelab.schedule import ScheduleSpec, phase_freeze_signal, step_freeze_signal
+from freezelab.schedule import ScheduleSpec, phase_freeze_signal
 
 INF = math.inf
 
@@ -225,7 +225,7 @@ def test_totals_match_triple_sum_oracle():
         epochs = int(rng.integers(1, 25))
         n = int(rng.integers(0, 20))
         rho = INF if rng.integers(0, 5) == 0 else int(rng.integers(1, 8))
-        signals = [step_freeze_signal(e, rho) for e in range(epochs)]
+        signals = [phase_freeze_signal(e, ScheduleSpec([(math.inf, rho)])) for e in range(epochs)]
         ledger = _run_ledger(model, signals, n)
 
         expected = 0

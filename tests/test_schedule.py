@@ -14,41 +14,46 @@ from freezelab.schedule import (
     lr_at,
     parse_rho,
     phase_freeze_signal,
-    step_freeze_signal,
 )
 
 
 # --------------------------------------------------------------------------
-# step scheduler
+# one-phase schedules: a fixed period from epoch 0
+
+
+def _step(epoch, rho):
+    """The freeze signal at `epoch` of the one-phase schedule of period rho."""
+    return phase_freeze_signal(epoch, ScheduleSpec([(math.inf, rho)]))
 
 
 def test_rho_one_always_updates():
-    assert step_freeze_signal(7, 1) == BACKBONE_UNFROZEN
+    assert _step(7, 1) == BACKBONE_UNFROZEN
     for epoch in range(40):
-        assert step_freeze_signal(epoch, 1) == BACKBONE_UNFROZEN
+        assert _step(epoch, 1) == BACKBONE_UNFROZEN
 
 
 def test_rho_inf_always_frozen():
     for epoch in (0, 1, 17, 399, 10**9):
-        assert step_freeze_signal(epoch, math.inf) == BACKBONE_FROZEN
+        assert _step(epoch, math.inf) == BACKBONE_FROZEN
 
 
 def test_fine_tune_window_rho_five_unfrozen_count():
-    signals = [step_freeze_signal(e, 5) for e in range(50, 400)]
+    signals = [_step(e, 5) for e in range(50, 400)]
     zeros = [e for e, s in zip(range(50, 400), signals) if s == BACKBONE_UNFROZEN]
     assert len(zeros) == 70
     assert zeros == list(range(50, 400, 5))
 
 
 def test_step_rejects_bad_rho():
+    # a period is checked where its schedule is made
     for bad in (0, -1, 2.5, "5"):
         with pytest.raises(ValueError):
-            step_freeze_signal(3, bad)
+            ScheduleSpec([(math.inf, bad)])
 
 
 def test_step_rejects_negative_epoch():
     with pytest.raises(ValueError):
-        step_freeze_signal(-1, 2)
+        _step(-1, 2)
 
 
 def test_frozen_count_matches_multiple_count_over_random_windows():
@@ -58,19 +63,19 @@ def test_frozen_count_matches_multiple_count_over_random_windows():
         a = int(rng.integers(0, 500))
         b = a + int(rng.integers(1, 300))
         rho = int(rng.integers(1, 25))
-        frozen = sum(step_freeze_signal(e, rho) for e in range(a, b))
+        frozen = sum(_step(e, rho) for e in range(a, b))
         multiples = sum(1 for e in range(a, b) if e % rho == 0)
         assert frozen == (b - a) - multiples
-        assert sum(step_freeze_signal(e, math.inf) for e in range(a, b)) == b - a
+        assert sum(_step(e, math.inf) for e in range(a, b)) == b - a
 
 
 def test_aligned_window_unfrozen_counts():
     for rho in (2, 5, 10):
         unfrozen = sum(
-            1 for e in range(50, 400) if step_freeze_signal(e, rho) == BACKBONE_UNFROZEN
+            1 for e in range(50, 400) if _step(e, rho) == BACKBONE_UNFROZEN
         )
         assert unfrozen == 350 // rho
-    assert all(step_freeze_signal(e, math.inf) == BACKBONE_FROZEN for e in range(50, 400))
+    assert all(_step(e, math.inf) == BACKBONE_FROZEN for e in range(50, 400))
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +107,8 @@ def test_single_phase_matches_step_scheduler():
         rho = math.inf if rng.integers(0, 4) == 0 else int(rng.integers(1, 12))
         spec = ScheduleSpec([(math.inf, rho)])
         epoch = int(rng.integers(0, 1000))
-        assert phase_freeze_signal(epoch, spec) == step_freeze_signal(epoch, rho)
+        unfrozen = rho != math.inf and epoch % rho == 0
+        assert phase_freeze_signal(epoch, spec) == (BACKBONE_UNFROZEN if unfrozen else BACKBONE_FROZEN)
 
 
 def test_rho_at_picks_first_covering_phase():

@@ -43,7 +43,10 @@ state aside one way: in `experiment`, only `TrainState.park` and
 sends only `ready`, `park` and `error` messages. A schedule's text forms
 live in `schedule.ScheduleSpec` (`to_json`, `from_json`, `describe`):
 `experiment` defines no schedule codec and imports neither `format_rho`
-nor `parse_rho`."""
+nor `parse_rho`. The period rule has one home: `schedule` has no
+`step_freeze_signal`, and its one `%` is in `phase_freeze_signal`. The
+grid's mAP deltas are read from its rows: `_cmd_grid` keeps no
+per-period store beside the rows it writes to `grid_summary.csv`."""
 
 import ast
 import math
@@ -272,6 +275,24 @@ def test_experiment_leaves_a_schedules_text_forms_to_schedule_spec():
 ], ids=["default", "grid", "frozen-first"])
 def test_a_schedule_reads_back_its_config_form(spec):
     assert ScheduleSpec.from_json(spec.to_json()) == spec
+
+
+def test_the_period_rule_lives_in_phase_freeze_signal_alone():
+    tree = _tree("schedule")
+    assert "step_freeze_signal" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    homes = [function.name for function in tree.body if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+    assert homes == ["phase_freeze_signal"]
+    assert sum(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) for node in ast.walk(tree)) == 1
+
+
+def test_the_grid_reads_its_map_deltas_from_its_rows():
+    (grid,) = [node for node in _tree("cli").body if isinstance(node, ast.FunctionDef) and node.name == "_cmd_grid"]
+    # every list the grid grows is a table it writes, and no dict is keyed by period
+    grown = sorted(ast.unparse(call.func.value) for call in ast.walk(grid)
+                   if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "append")
+    assert grown == ["delta_rows", "rows"]
+    assert not [node for node in ast.walk(grid) if isinstance(node, ast.DictComp) and _names(node.key) & {"rho", "label"}]
 
 
 # The modules and calls through which a module could start a process.
