@@ -3,10 +3,10 @@
 Each scene is a noisy gray background with one to a few axis-aligned
 rectangles painted on it. A rectangle's class decides which channel
 dominates its fill color, so class identity is visible to a small conv
-net while stays trivial to generate. Everything is a pure function of
-(seed, scene index): scene i is identical no matter how many scenes were
-generated before it, which is what makes run-level bit-identity tests
-possible.
+net while the scene stays trivial to generate. Everything is a pure
+function of (seed, scene index): scene i is identical no matter how many
+scenes were generated before it, which is what makes run-level
+bit-identity tests possible.
 """
 
 from __future__ import annotations

@@ -711,14 +711,25 @@ class _Pool:
             worker.exit_code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
 
 
+def _check_out_dir(out_dir) -> None:
+    """Raise if `out_dir` cannot become a directory because it, or a path
+    it lies under, exists as something else; creates nothing."""
+    probe = os.path.abspath(out_dir)
+    while not os.path.isdir(probe):
+        if os.path.lexists(probe):
+            raise ValueError(f"cannot write run directory {out_dir}: {probe} is not a directory")
+        probe = os.path.dirname(probe)
+
+
 def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]]]) -> Iterator[RunResult]:
     """Train runs that differ only in schedule and output_dir, each shared
     prefix of their freeze signals once, and yield each run's RunResult.
 
     `runs` holds (config, baseline ledger or None) pairs; no two may name
-    one output_dir. Each run's ledger is planned from its config
-    (plan_ledger) before training; a baseline fills that run's summary
-    delta and must describe a run of the same shape, which is checked
+    one output_dir, and none may be or lie under a file (_check_out_dir),
+    both checked before training. Each run's ledger is planned from its
+    config (plan_ledger) before training; a baseline fills that run's
+    summary delta and must describe a run of the same shape, which is checked
     against the planned ledger. The walk goes through the trie of the
     runs' planned freeze flags. Where they part, the frozen side goes on
     from the live state and the unfrozen side is parked, as is each leaf
@@ -751,6 +762,7 @@ def run_experiments(runs: Sequence[tuple[ExperimentConfig, Optional[FlopsLedger]
     named = set()
     for other, _ in runs:
         if other.output_dir is not None:
+            _check_out_dir(other.output_dir)
             if os.path.realpath(other.output_dir) in named:
                 raise ValueError(f"runs trained together must write different run directories; "
                                  f"two name {other.output_dir}")

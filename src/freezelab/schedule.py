@@ -31,31 +31,31 @@ BACKBONE_FROZEN = 1
 Rho = Union[int, float]  # positive int, or math.inf
 
 
-def _check_rho(rho: Rho) -> None:
-    if rho == math.inf:
-        return
-    if isinstance(rho, bool) or not isinstance(rho, int) or rho < 1:
-        raise ValueError(f"rho must be a positive integer or inf, got {rho!r}")
-
-
-def _positive_or_inf(value, what: str) -> Rho:
-    """`value` as a positive int or math.inf. Text may spell either
-    ('inf', 'infinity' or digits); a fraction, a bool or anything else
+def _positive_or_inf(value, field: str) -> Rho:
+    """`value` if it is a positive int or math.inf: the one check of a
+    phase end or a period. A bool, a fraction, text or anything else
     raises rather than being truncated."""
+    if value == math.inf or (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+        return value
+    raise ValueError(f"{field} must be a positive integer or inf, got {value!r}")
+
+
+def _read_positive_or_inf(value, field: str) -> Rho:
+    """A phase end or period from config or CLI text: 'inf', 'infinity'
+    or ASCII digits (stripped, in any case) become numbers, then the one
+    check applies to whatever was given."""
     if isinstance(value, str):
         text = value.strip().lower()
         if text in ("inf", "infinity"):
-            return math.inf
-        if text.isdigit():
+            value = math.inf
+        elif text.isascii() and text.isdigit():  # '²' is a digit that int() rejects
             value = int(text)
-    if value == math.inf or (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-        return value
-    raise ValueError(f"{what} must be a positive integer or inf, got {value!r}")
+    return _positive_or_inf(value, field)
 
 
 def parse_rho(text) -> Rho:
     """Parse a rho value from config/CLI text; 'inf' means infinity."""
-    return _positive_or_inf(text, "rho")
+    return _read_positive_or_inf(text, "rho")
 
 
 def format_rho(rho: Rho) -> str:
@@ -68,30 +68,24 @@ class ScheduleSpec:
 
     A phase covers epochs [previous end, end_epoch). end_epoch values are
     strictly increasing, so lookup is the first phase whose end exceeds
-    the epoch.
+    the epoch. Both values are numbers (math.inf for infinity); their
+    text spellings are read by from_json and parse_rho alone.
     """
 
     phases: tuple[tuple[Union[int, float], Rho], ...]
 
     def __init__(self, phases: Sequence[tuple[Union[int, float], Rho]]):
-        norm = []
-        prev_end = 0
-        for end, rho in phases:
-            end = _positive_or_inf(end, "phase end epoch")
-            if end != math.inf:
-                if end <= prev_end:
-                    raise ValueError(f"phase end epochs must be strictly increasing, got {end} after {prev_end}")
-                prev_end = end
-            _check_rho(rho)
-            norm.append((end, rho))
-        if not norm:
+        phases = tuple((_positive_or_inf(end, "phase end epoch"), _positive_or_inf(rho, "rho"))
+                       for end, rho in phases)
+        if not phases:
             raise ValueError("schedule needs at least one phase")
-        if norm[-1][0] != math.inf:
+        if phases[-1][0] != math.inf:
             raise ValueError("the last phase must have end_epoch = inf")
-        for end, _ in norm[:-1]:
-            if end == math.inf:
-                raise ValueError("only the last phase may have end_epoch = inf")
-        object.__setattr__(self, "phases", tuple(norm))
+        ends = [0] + [end for end, _ in phases]
+        for prev_end, end in zip(ends, ends[1:]):
+            if end <= prev_end:  # so an inf end can only be the last
+                raise ValueError(f"phase end epochs must be strictly increasing, got {end} after {prev_end}")
+        object.__setattr__(self, "phases", phases)
 
     def rho_at(self, epoch: int) -> Rho:
         for end, rho in self.phases:
@@ -102,14 +96,14 @@ class ScheduleSpec:
     def to_json(self) -> list:
         """The config form: one [end_epoch, rho] pair per phase, with
         infinity spelled "inf" and every rho as text."""
-        return [["inf" if end == math.inf else int(end), format_rho(rho)] for end, rho in self.phases]
+        return [["inf" if end == math.inf else end, format_rho(rho)] for end, rho in self.phases]
 
     @classmethod
     def from_json(cls, raw) -> ScheduleSpec:
         """The schedule a config form (see to_json) describes."""
         if not isinstance(raw, list) or not all(isinstance(item, list) and len(item) == 2 for item in raw):
             raise ValueError(f"config key 'schedule' must be a list of [end_epoch, rho] pairs, got {raw!r}")
-        return cls([(end, parse_rho(rho)) for end, rho in raw])
+        return cls([(_read_positive_or_inf(end, "phase end epoch"), parse_rho(rho)) for end, rho in raw])
 
     def describe(self) -> str:
         """The one-line form, phases joined by '|', e.g. '4:1|inf:2'."""

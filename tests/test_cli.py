@@ -419,6 +419,40 @@ def test_grid_needs_an_output_directory(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config has no output_dir and --out was not given\n"
 
 
+def _a_file_in_the_way(tmp_path, monkeypatch):
+    """A small config, a regular file `afile` beside it, and the list of
+    train_epoch calls from here on."""
+    cfg_path, afile = tmp_path / "cfg.json", tmp_path / "afile"
+    _small_config_file(cfg_path)
+    afile.write_bytes(b"not a directory")
+    trained = []
+    monkeypatch.setattr(experiment, "train_epoch", lambda *args, **kwargs: trained.append(args))
+    return cfg_path, afile, trained
+
+
+@pytest.mark.parametrize("name", ["afile", "afile/sub"])
+def test_run_refuses_an_output_path_at_or_under_a_file_before_training(tmp_path, capsys, monkeypatch, name):
+    cfg_path, afile, trained = _a_file_in_the_way(tmp_path, monkeypatch)
+    out = tmp_path / name
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write run directory {out}: {afile} is not a directory\n"
+    assert trained == []
+    assert afile.read_bytes() == b"not a directory"
+    assert sorted(tmp_path.iterdir()) == [afile, cfg_path]
+
+
+@pytest.mark.parametrize("name", ["afile", "afile/sub"])
+def test_grid_refuses_an_output_path_at_or_under_a_file_before_training(tmp_path, capsys, monkeypatch, name):
+    cfg_path, afile, trained = _a_file_in_the_way(tmp_path, monkeypatch)
+    out = tmp_path / name
+    assert main(["grid", "--config", str(cfg_path), "--rhos", "2", "--switch", "1", "--out", str(out)]) == 1
+    run_dir = out / "seed_0" / "rho_1"
+    assert capsys.readouterr().err == f"error: cannot write run directory {run_dir}: {afile} is not a directory\n"
+    assert trained == []
+    assert afile.read_bytes() == b"not a directory"
+    assert sorted(tmp_path.iterdir()) == [afile, cfg_path]
+
+
 def test_missing_config_is_one_diagnostic_line(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

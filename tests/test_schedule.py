@@ -136,9 +136,20 @@ def test_schedule_spec_validation():
         ScheduleSpec([(50, 0), (math.inf, 1)])  # rho zero
     with pytest.raises(ValueError):
         ScheduleSpec([(50, -2), (math.inf, 1)])  # rho negative
-    for end in (2.5, 2.0, True, "2.5"):  # rejected, not truncated
+    for end in (2.5, 2.0, True, "2.5", "4", "inf"):  # rejected, not truncated or read as text
         with pytest.raises(ValueError, match="phase end epoch must be a positive integer or inf"):
             ScheduleSpec([(end, 1), (math.inf, 2)])
+    for rho in ("1", "inf"):  # a period is a number too
+        with pytest.raises(ValueError, match="rho must be a positive integer or inf"):
+            ScheduleSpec([(4, rho), (math.inf, 2)])
+
+
+@pytest.mark.parametrize("raw,phases", [
+    ([["4", "1"], ["inf", "2"]], [(4, 1), (math.inf, 2)]),
+    ([[4, 1], ["Infinity", "inf"]], [(4, 1), (math.inf, math.inf)]),
+])
+def test_from_json_reads_text_ends_and_periods_as_numbers(raw, phases):
+    assert ScheduleSpec.from_json(raw) == ScheduleSpec(phases)
 
 
 def test_describe_is_compact():
@@ -158,7 +169,7 @@ def test_parse_and_format_rho():
     assert parse_rho(math.inf) == math.inf
     assert format_rho(5) == "5"
     assert format_rho(math.inf) == "inf"
-    for text in ("0", "-3", "abc", 2.5, 2.0, True, "2.5", None):
+    for text in ("0", "-3", "abc", 2.5, 2.0, True, "2.5", None, "²"):
         with pytest.raises(ValueError, match="rho must be a positive integer or inf"):
             parse_rho(text)
 

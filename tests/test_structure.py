@@ -46,7 +46,11 @@ live in `schedule.ScheduleSpec` (`to_json`, `from_json`, `describe`):
 nor `parse_rho`. The period rule has one home: `schedule` has no
 `step_freeze_signal`, and its one `%` is in `phase_freeze_signal`. The
 grid's mAP deltas are read from its rows: `_cmd_grid` keeps no
-per-period store beside the rows it writes to `grid_summary.csv`."""
+per-period store beside the rows it writes to `grid_summary.csv`. A
+phase value is read from text in one place: only
+`schedule._read_positive_or_inf` spells "infinity" or calls `isdigit`,
+`parse_rho` and `ScheduleSpec.from_json` call it, and
+`ScheduleSpec.__init__` reaches only the one check, `_positive_or_inf`."""
 
 import ast
 import math
@@ -293,6 +297,27 @@ def test_the_grid_reads_its_map_deltas_from_its_rows():
                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "append")
     assert grown == ["delta_rows", "rows"]
     assert not [node for node in ast.walk(grid) if isinstance(node, ast.DictComp) and _names(node.key) & {"rho", "label"}]
+
+
+def test_a_phase_value_is_read_from_text_in_one_function_and_init_only_checks_it():
+    tree = _tree("schedule")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (spec,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ScheduleSpec"]
+    methods = {node.name: node for node in spec.body if isinstance(node, ast.FunctionDef)}
+    readers = [name for name, function in {**functions, **methods}.items()
+               if any((isinstance(node, ast.Constant) and node.value == "infinity")
+                      or (isinstance(node, ast.Attribute) and node.attr == "isdigit") for node in ast.walk(function))]
+    assert readers == ["_read_positive_or_inf"] and "_check_rho" not in functions
+    assert sorted(_calls_by_function(tree, "_read_positive_or_inf")) == ["from_json", "parse_rho"]
+    # every module-level function that ScheduleSpec.__init__ reaches
+    reached, todo = set(), [methods["__init__"]]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in functions and node.func.id not in reached:
+                reached.add(node.func.id)
+                todo.append(functions[node.func.id])
+    assert reached == {"_positive_or_inf"}
 
 
 # The modules and calls through which a module could start a process.
