@@ -9,6 +9,12 @@ requires no grad: the forward values are bit-identical to the unfrozen
 pass while no gradient can reach any backbone parameter. That output is
 `backbone_features`; a frozen forward may be handed it instead of the
 images, and then runs only the neck and head.
+
+The backbone reads only the image rows and columns that reach the head
+(`Detector.read_hw`): a window sweep that does not tile its input leaves
+its last rows and columns unread, and a crop of every batch to that
+extent makes each layer compute exactly what the next one reads. Layer
+shapes, and so the FLOP ledger, stay the arch's nominal ones.
 """
 
 from __future__ import annotations
@@ -148,6 +154,8 @@ class Detector:
     input_shape: tuple
     grid_size: int
     num_classes: int
+    read_hw: tuple  # the input (rows, columns) the layer chain reads; see _read_hw
+    feature_shape: tuple  # per-sample shape of the backbone's output from read_hw
 
     def layers(self) -> tuple:
         return self.backbone + self.neck + self.head
@@ -160,11 +168,6 @@ class Detector:
     def grad_key_table(self) -> dict[int, str]:
         """Map tensor uid -> param_id, for translating backward() output."""
         return {tensor.uid: pid for pid, tensor in self.parameters()}
-
-    @property
-    def feature_shape(self) -> tuple:
-        """Per-sample shape of the backbone's output."""
-        return (self.neck + self.head)[0].input_shape
 
 
 @dataclass(frozen=True)
@@ -302,6 +305,10 @@ def plan_detector(arch_config: dict) -> Detector:
             f"of {head_out}-channel predictions (needs {expect})"
         )
 
+    read_hw = _read_hw(groups["backbone"] + groups["neck"] + groups["head"], input_shape)
+    feature_shape = (input_shape[0], *read_hw)
+    for layer in groups["backbone"]:
+        feature_shape = layer.output_shape(feature_shape)
     return Detector(
         backbone=groups["backbone"],
         neck=groups["neck"],
@@ -309,7 +316,24 @@ def plan_detector(arch_config: dict) -> Detector:
         input_shape=input_shape,
         grid_size=grid_size,
         num_classes=num_classes,
+        read_hw=read_hw,
+        feature_shape=feature_shape,
     )
+
+
+def _read_hw(layers: Sequence[Layer], input_shape: tuple) -> tuple[int, int]:
+    """The input rows and columns, counted from the top left, that reach the
+    output of `layers`, a chained arch. The last conv or pool's output is
+    read whole (what follows it is elementwise, flatten or dense); walking
+    back, a window sweep with `n` outputs reads `(n - 1) * stride + kernel`
+    of its input. An arch whose windows tile exactly reads all of it."""
+    spatial = [layer for layer in layers if layer.kind in ("conv2d", "maxpool2d")]
+    if not spatial:
+        return tuple(input_shape[1:])
+    hw = spatial[-1].output_shape(spatial[-1].input_shape)[1:]
+    for layer in reversed(spatial):
+        hw = tuple((n - 1) * layer.stride + layer.kernel for n in hw)
+    return hw
 
 
 def build_detector(arch_config: dict, init_seed: int) -> Detector:
@@ -352,12 +376,23 @@ def _run_layers(layers: Sequence[Layer], x: Tensor) -> Tensor:
     return x
 
 
+def _read_region(d: Detector, batch: Tensor) -> Tensor:
+    """`batch` cut to the rows and columns the layer chain reads
+    (`d.read_hw`), as a view and with no tape node. The new tensor is cut
+    off from `batch`, so a batch that requires grad is refused rather than
+    silently left without a gradient."""
+    if batch.requires_grad:
+        raise ValueError("an image batch must not require grad: the backbone reads a crop of it")
+    h, w = d.read_hw
+    return Tensor(batch.data[:, :, :h, :w])
+
+
 def backbone_features(d: Detector, batch: Tensor) -> Tensor:
     """The backbone's output for `batch`, run without tape recording, so it
     requires no grad and has no tape node: what a frozen backbone hands the
     neck. Each scene's row is bit-identical in any batch composition."""
     with ad.pause_recording():
-        return _run_layers(d.backbone, batch)
+        return _run_layers(d.backbone, _read_region(d, batch))
 
 
 def detector_forward(d: Detector, batch: Optional[Tensor], freeze: int,
@@ -387,7 +422,7 @@ def detector_forward(d: Detector, batch: Optional[Tensor], freeze: int,
     elif freeze:
         out = backbone_features(d, batch)
     else:
-        out = _run_layers(d.backbone, batch)
+        out = _run_layers(d.backbone, _read_region(d, batch))
     out = _run_layers(d.head, _run_layers(d.neck, out))
 
     s, c = d.grid_size, d.num_classes

@@ -44,7 +44,8 @@ def _conv_arrays(shape, seed):
 
 def _conv_cases():
     # (batch, in channels, height, width, out channels, kernel, stride)
-    cases = [(8, 3, 32, 32, 8, 3, 1), (8, 8, 15, 15, 16, 3, 1)]  # the default backbone's convs
+    # the default arch's convs at its nominal shapes; the run crops them (see below)
+    cases = [(8, 3, 32, 32, 8, 3, 1), (8, 8, 15, 15, 16, 3, 1)]
     rng = np.random.default_rng(606)
     for trial in range(30):
         k = (1, 2, 3)[trial // 3 % 3]
@@ -58,6 +59,23 @@ def _conv_cases():
 def test_conv2d_is_bit_identical_to_the_direct_loop(shape):
     arrays = _conv_arrays(shape, seed=sum(shape))
     for got, want, name in zip(_engine_conv(*arrays), conv2d_reference(*arrays), ("out", "gx", "gw", "gb")):
+        assert got is not None, name
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("shape", [(8, 3, 30, 30, 8, 3, 1), (8, 8, 14, 14, 16, 3, 1)], ids=str)
+def test_conv2d_on_a_crop_view_is_bit_identical_to_the_direct_loop(shape):
+    # The shapes the default run hands the convs: its backbone reads rows
+    # and columns 0-29 of each 32x32 image, a view of the batch, so conv2
+    # reads 14x14 of pool1's nominal 15x15. Both are fed here as views into
+    # a larger batch, the reference a contiguous copy.
+    x, *rest = _conv_arrays(shape, seed=sum(shape))
+    h, w = x.shape[2:]
+    batch = np.random.default_rng(sum(shape)).normal(size=(*x.shape[:2], h + 2, w + 3))
+    batch[:, :, :h, :w] = x
+    view = batch[:, :, :h, :w]
+    assert np.shares_memory(view, batch) and not view.flags.c_contiguous
+    for got, want, name in zip(_engine_conv(view, *rest), conv2d_reference(x, *rest), ("out", "gx", "gw", "gb")):
         assert got is not None, name
         assert_same_bits(got, want)
 

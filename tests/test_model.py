@@ -311,15 +311,22 @@ def _forward_as_written(d, batch):
     return ad.reshape(out, (out.shape[0], d.grid_size, d.grid_size, 1 + d.num_classes + 4))
 
 
+def _crop(d, batch):
+    """`batch` cut to the rows and columns the detector's layer chain reads."""
+    h, w = d.read_hw
+    return Tensor(batch.data[:, :, :h, :w])
+
+
 def test_relu_after_pool_keeps_the_forward_bytes_and_the_gradient_values():
     rng = np.random.default_rng(12)
     d = build_detector(_pool_arch(), init_seed=5)
     batch = Tensor(rng.normal(size=(4, 2, 15, 15)))  # zero-mean, so relu and pools tie at 0
+    cropped = _crop(d, batch)  # what the engine's backbone reads, so only the swap differs
     targets = _random_targets(rng, 4, 2, 2)
     table = d.grad_key_table()
     runs = {}
     for name, forward in (("engine", lambda: detector_forward(d, batch, freeze=0).tensor),
-                          ("written", lambda: _forward_as_written(d, batch))):
+                          ("written", lambda: _forward_as_written(d, cropped))):
         with Tape() as tape:
             out = forward()
             loss = detection_loss(PredictionGrid(out, 2, 2), targets)
@@ -330,10 +337,149 @@ def test_relu_after_pool_keeps_the_forward_bytes_and_the_gradient_values():
     assert want_kinds[:6] == ["conv2d", "relu", "maxpool2d", "conv2d", "relu", "maxpool2d"]
     assert sorted(kinds) == sorted(want_kinds)
     assert out.tobytes() == want_out.tobytes()
-    assert backbone_features(d, batch).data.tobytes() == _as_written(d.backbone, batch).data.tobytes()
+    assert backbone_features(d, batch).data.tobytes() == _as_written(d.backbone, cropped).data.tobytes()
     assert set(grads) == set(want_grads) == {pid for pid, _ in d.parameters()}
     for pid, g in want_grads.items():
         np.testing.assert_array_equal(grads[pid], g, err_msg=pid)
+
+
+def _tiling_arch():
+    """1x9x13 input whose every window sweep reads its input whole: a
+    stride-1 conv to 8x12, a 2x2 pool that tiles it, then a stride-2 conv
+    whose last window ends on the map's last row and column."""
+    return {
+        "input_shape": [1, 9, 13],
+        "grid_size": 2,
+        "num_classes": 2,
+        "backbone": [
+            {"kind": "conv2d", "in_channels": 1, "out_channels": 2, "kernel": 2},
+            {"kind": "relu"},
+            {"kind": "maxpool2d", "kernel": 2},
+            {"kind": "conv2d", "in_channels": 2, "out_channels": 3, "kernel": 2, "stride": 2},
+        ],
+        "neck": [{"kind": "flatten"}],
+        "head": [{"kind": "dense", "in_features": 18, "out_features": 28}],
+    }
+
+
+def _depth1_arch():
+    """The default arch with its second conv block moved into the neck."""
+    arch = default_desk_arch()
+    return dict(arch, backbone=arch["backbone"][:3], neck=arch["backbone"][3:] + arch["neck"])
+
+
+def _random_chain_arch(rng):
+    """A random chain of conv blocks (stride 1 or 2) and pools (tiling or
+    overlapping) on a non-square input, cut into backbone and neck at a
+    random block, then flatten and a dense head onto a 2x2 grid."""
+    channels = int(rng.integers(1, 4))
+    input_hw = [int(n) for n in rng.choice(np.arange(11, 24), size=2, replace=False)]
+    (h, w), layers, c = input_hw, [], channels
+    for _ in range(int(rng.integers(2, 4))):
+        k, stride = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        oc = int(rng.integers(2, 5))
+        if min(h, w) < k:
+            break
+        block = [{"kind": "conv2d", "in_channels": c, "out_channels": oc, "kernel": k, "stride": stride},
+                 {"kind": "relu"}]
+        h, w, c = *ad.conv_out_hw(h, w, k, k, stride), oc
+        pool_k = int(rng.integers(2, 4))
+        if min(h, w) >= pool_k and rng.random() < 0.8:
+            pool_s = int(rng.integers(1, pool_k + 1))  # below the kernel, the windows overlap
+            block.append({"kind": "maxpool2d", "kernel": pool_k, "stride": pool_s})
+            h, w = ad.conv_out_hw(h, w, pool_k, pool_k, pool_s)
+        layers.append(block)
+    cut = int(rng.integers(1, len(layers) + 1))
+    return {
+        "input_shape": [channels, *input_hw],
+        "backbone": [spec for block in layers[:cut] for spec in block],
+        "neck": [spec for block in layers[cut:] for spec in block] + [{"kind": "flatten"}],
+        "head": [{"kind": "dense", "in_features": c * h * w, "out_features": 28}],
+        "grid_size": 2,
+        "num_classes": 2,
+    }
+
+
+_CHAINS = {f"chain{seed}": _random_chain_arch(np.random.default_rng(seed)) for seed in range(10)}
+_CROP_ARCHS = {"default": default_desk_arch(), "pool": _pool_arch(), "depth1": _depth1_arch(),
+               "tiling": _tiling_arch(), "tiny": _tiny_arch(), **_CHAINS}
+
+
+def test_the_read_extent_and_feature_shape_of_the_committed_archs():
+    default, depth1 = plan_detector(default_desk_arch()), plan_detector(_depth1_arch())
+    assert default.read_hw == depth1.read_hw == (30, 30)
+    assert plan_detector(_pool_arch()).read_hw == (14, 14)
+    assert plan_detector(_tiling_arch()).read_hw == (9, 13)
+    assert default.feature_shape == (16, 6, 6)
+    assert depth1.feature_shape == (8, 14, 14)
+    # the layers keep their nominal shapes, and so the ledger its FLOPs
+    assert depth1.neck[0].input_shape == (8, 15, 15)
+    assert ([spec.forward_flops_per_sample for spec in flops_specs(depth1)]
+            == [spec.forward_flops_per_sample for spec in flops_specs(default)])
+    assert any(plan_detector(arch).read_hw != tuple(arch["input_shape"][1:]) for arch in _CHAINS.values())
+
+
+@pytest.mark.parametrize("name", list(_CROP_ARCHS))
+def test_the_read_extent_is_the_least_input_that_keeps_every_output(name):
+    # chained forwards, against _read_hw's walk backwards
+    d = plan_detector(_CROP_ARCHS[name])
+
+    def spatial_out(hw):
+        shape = (d.input_shape[0], *hw)
+        for layer in d.layers():
+            if layer.kind == "flatten":
+                break
+            try:
+                shape = layer.output_shape(shape)
+            except ShapeChainError:
+                return None
+        return shape
+
+    h, w = d.input_shape[1:]
+    nominal = spatial_out((h, w))
+    least = (min(n for n in range(1, h + 1) if spatial_out((n, w)) == nominal),
+             min(n for n in range(1, w + 1) if spatial_out((h, n)) == nominal))
+    assert d.read_hw == least
+
+
+@pytest.mark.parametrize("name", list(_CROP_ARCHS))
+def test_the_cropped_forward_keeps_the_bytes_of_the_uncropped_one(name):
+    d = build_detector(_CROP_ARCHS[name], init_seed=3)
+    rng = np.random.default_rng(sum(name.encode()))
+    batch = Tensor(rng.normal(size=(3, *d.input_shape)))  # zero-mean, so relu and pools tie at 0
+    targets = _random_targets(rng, 3, d.grid_size, d.num_classes)
+    table = d.grad_key_table()
+    runs = {}
+    for side, forward in (("engine", lambda: detector_forward(d, batch, freeze=0).tensor),
+                          ("written", lambda: _forward_as_written(d, batch))):
+        with Tape() as tape:
+            out = forward()
+            loss = detection_loss(PredictionGrid(out, d.grid_size, d.num_classes), targets)
+        grads = {table[uid]: g.data for uid, g in backward(loss, tape).items()}
+        runs[side] = (out.data, sorted(node.kind for node in tape.nodes), grads)
+    (out, kinds, grads), (want_out, want_kinds, want_grads) = runs["engine"], runs["written"]
+    assert kinds == want_kinds  # the crop records no node
+    assert out.tobytes() == want_out.tobytes()
+    # a backbone cut inside the chain of windows hands on only what the neck reads
+    features = _as_written(d.backbone, batch).data[tuple(slice(n) for n in (3, *d.feature_shape))]
+    assert backbone_features(d, batch).data.tobytes() == features.tobytes()
+    assert set(grads) == set(want_grads) == {pid for pid, _ in d.parameters()}
+    # a reduction over fewer window positions may round differently
+    cropped = d.read_hw != d.input_shape[1:]
+    for pid, g in want_grads.items():
+        if cropped:
+            np.testing.assert_allclose(grads[pid], g, rtol=1e-12, err_msg=pid)
+        else:
+            np.testing.assert_array_equal(grads[pid], g, err_msg=pid)
+
+
+def test_an_image_batch_that_requires_grad_is_refused():
+    d = build_detector(default_desk_arch(), init_seed=0)
+    batch = Tensor(np.zeros((1, 3, 32, 32)), requires_grad=True)
+    for call in (lambda: detector_forward(d, batch, 0), lambda: detector_forward(d, batch, 1),
+                 lambda: backbone_features(d, batch)):
+        with pytest.raises(ValueError, match="an image batch must not require grad"):
+            call()
 
 
 def test_a_relu_pool_pair_across_the_backbone_cut_is_not_swapped():
