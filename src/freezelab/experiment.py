@@ -96,6 +96,7 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
+_SECTIONS = {"scene": SceneConfig, "lr": LrConfig, "sgd": SgdConfig, "time_model": TimeModel}
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,18 @@ class ExperimentConfig:
     n_train: int = 256
     n_val: int = 64
     arch: dict = field(default_factory=default_desk_arch)
-    scene: SceneConfig = field(default_factory=SceneConfig)
-    lr: LrConfig = field(default_factory=LrConfig)
-    sgd: SgdConfig = field(default_factory=SgdConfig)
+    scene: SceneConfig = field(default_factory=dict)
+    lr: LrConfig = field(default_factory=dict)
+    sgd: SgdConfig = field(default_factory=dict)
     schedule: ScheduleSpec = field(default_factory=lambda: ScheduleSpec([(math.inf, 1)]))
-    time_model: TimeModel = field(default_factory=TimeModel)
+    time_model: TimeModel = field(default_factory=dict)
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        _check_kinds({key: value for key, value in vars(self).items() if key not in _SECTIONS}, ExperimentConfig)
+        for section, cls in _SECTIONS.items():
+            seed = {"seed": self.seed} if cls is SceneConfig else {}
+            object.__setattr__(self, section, _build_section(cls, getattr(self, section), section, **seed))
         if self.total_epochs < 1:
             raise ValueError(f"total_epochs must be >= 1, got {self.total_epochs}")
         if self.eval_every < 1:
@@ -155,13 +160,14 @@ _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), dict: (di
           type(None): ((str, type(None)), "a string or null")}
 
 
-def _check_kinds(raw: dict, defaults, prefix: str = "") -> None:
-    """Every int, float, dict or None-default field in `raw` must have the
-    kind of its value in `defaults` (an int passes for a float; a bool is
-    not a number; a None default stands for an optional string), and a
-    number must be finite (JSON readers take NaN and Infinity)."""
+def _check_kinds(raw: dict, cls, prefix: str = "") -> None:
+    """Every int, float, dict or None-default field of the dataclass `cls`
+    in `raw` must have the kind of its default (an int passes for a float;
+    a bool is not a number; a None default stands for an optional string),
+    and a number must be finite, however the config was made."""
     for key, value in raw.items():
-        kind = _KINDS.get(type(getattr(defaults, key)))
+        f = cls.__dataclass_fields__[key]
+        kind = _KINDS.get(type(f.default_factory() if callable(f.default_factory) else f.default))
         if kind is not None and (isinstance(value, bool) or not isinstance(value, kind[0])):
             raise ValueError(f"config key {prefix + key!r} must be {kind[1]}, got {type(value).__name__}")
         if kind is _KINDS[float] and isinstance(value, float) and not math.isfinite(value):
@@ -169,18 +175,20 @@ def _check_kinds(raw: dict, defaults, prefix: str = "") -> None:
 
 
 def _build_section(cls, raw, section: str, **defaults):
+    raw = vars(raw) if isinstance(raw, cls) else raw
     if not isinstance(raw, dict):
         raise ValueError(f"config section {section!r} must be an object, got {type(raw).__name__}")
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    _check_kinds(raw, cls(), prefix=f"{section}.")
+    _check_kinds(raw, cls, prefix=f"{section}.")
     return cls(**{**defaults, **raw})
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """The config a JSON document describes. A key it leaves out takes
-    its ExperimentConfig default at every level (a scene seed, the seed)."""
+    """The config a JSON document describes. It reads what JSON alone needs
+    (the version, unknown top-level keys, the schedule's text); a left-out
+    key means its ExperimentConfig default, and ExperimentConfig checks all."""
     raw = dict(raw)
     version = raw.pop("version", CONFIG_VERSION)
     if type(version) is not int or version != CONFIG_VERSION:
@@ -189,16 +197,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    _check_kinds(raw, ExperimentConfig())
-    kwargs = dict(raw)
-    kwargs["scene"] = _build_section(SceneConfig, raw.get("scene", {}), "scene", seed=raw.get("seed", 0))
-    for section, cls in (("lr", LrConfig), ("sgd", SgdConfig), ("time_model", TimeModel)):
-        if section in raw:
-            kwargs[section] = _build_section(cls, raw[section], section)
     if "schedule" in raw:
-        kwargs["schedule"] = ScheduleSpec.from_json(raw["schedule"])
-    return ExperimentConfig(**kwargs)
+        raw["schedule"] = ScheduleSpec.from_json(raw["schedule"])
+    return ExperimentConfig(**raw)
 
 
 def load_config(path) -> ExperimentConfig:

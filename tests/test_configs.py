@@ -16,7 +16,14 @@ import pytest
 
 from freezelab.autodiff import Tape, Tensor, backward
 from freezelab.data import generate_dataset
-from freezelab.experiment import ExperimentConfig, load_config, plan_ledger, run_experiment
+from freezelab.experiment import (
+    ExperimentConfig,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+    plan_ledger,
+    run_experiment,
+)
 from freezelab.model import build_detector, default_desk_arch, detection_loss, detector_forward, encode_targets
 from freezelab.schedule import ScheduleSpec
 
@@ -37,6 +44,13 @@ def test_a_committed_config_loads_with_init_config_defaults_and_plans_its_ledger
         if field.name not in named:
             assert getattr(cfg, field.name) == getattr(defaults, field.name), field.name
     assert [record.epoch for record in plan_ledger(cfg).records] == list(range(cfg.total_epochs))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[path.stem for path in CONFIGS])
+def test_a_committed_config_reads_back_equal_through_its_dict(path):
+    cfg = load_config(path)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert replace(cfg) == cfg
 
 
 def _depth1():

@@ -397,20 +397,81 @@ def test_a_key_a_config_leaves_out_takes_the_init_config_value(tmp_path):
     assert load_config(path) == default_config(n_train=1024, n_val=1024)
 
 
+# A config file and the keyword arguments of the same config made in
+# Python. A section goes in as its instance where the instance takes the
+# value; LrConfig refuses a string base_lr and TimeModel a -inf
+# minutes_frozen themselves, before any config exists, so those two
+# sections go in as their JSON objects (the instances are left out).
+PYTHON_TWINS = [
+    ('{"scene": {"image_size": 16}}', {"scene": SceneConfig(image_size=16)}),
+    ('{"seed": "x"}', {"seed": "x"}),
+    ('{"total_epochs": 2.5}', {"total_epochs": 2.5}),
+    ('{"n_train": true, "total_epochs": 1, "n_val": 0}', {"n_train": True, "total_epochs": 1, "n_val": 0}),
+    ('{"arch": 5}', {"arch": 5}),
+    ('{"output_dir": 5}', {"output_dir": 5}),
+    ('{"scene": 5}', {"scene": 5}),
+    ('{"lr": {"base_lr": "0.1"}}', {"lr": {"base_lr": "0.1"}}),
+    ('{"lr": {"base_lr": Infinity}}', {"lr": LrConfig(base_lr=math.inf)}),
+    ('{"sgd": {"clip_max_norm": NaN}}', {"sgd": SgdConfig(clip_max_norm=math.nan)}),
+    ('{"scene": {"noise_std": NaN}}', {"scene": SceneConfig(noise_std=math.nan)}),
+    ('{"time_model": {"minutes_frozen": -Infinity}}', {"time_model": {"minutes_frozen": -math.inf}}),
+]
+
+
 def test_a_config_made_in_python_is_checked_as_a_loaded_one(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"scene": {"image_size": 16}}')
-    with pytest.raises(ValueError) as loaded:
-        load_config(path)
-    with pytest.raises(ValueError) as made:
-        default_config(scene=SceneConfig(image_size=16))
-    assert str(loaded.value) == f"{path}: {made.value}"
-    assert "scene images of shape [3, 16, 16] do not fit" in str(made.value)
+    for text, kwargs in PYTHON_TWINS:
+        path.write_text(text)
+        with pytest.raises(ValueError) as loaded:
+            load_config(path)
+        for make in (lambda: ExperimentConfig(**kwargs), lambda: replace(default_config(), **kwargs)):
+            with pytest.raises(ValueError) as made:
+                make()
+            assert str(loaded.value) == f"{path}: {made.value}", text
+
+
+def test_a_section_is_its_instance_or_its_json_object():
+    made = ExperimentConfig(seed=2, scene={"noise_std": 0.1}, lr={"base_lr": 0.01},
+                            sgd={"batch_size": 4}, time_model={"minutes_frozen": 10.0})
+    assert made == ExperimentConfig(seed=2, scene=SceneConfig(seed=2, noise_std=0.1), lr=LrConfig(base_lr=0.01),
+                                    sgd=SgdConfig(batch_size=4), time_model=TimeModel(minutes_frozen=10.0))
+    assert (type(made.scene), type(made.lr), type(made.sgd), type(made.time_model)) == \
+        (SceneConfig, LrConfig, SgdConfig, TimeModel)
+
+
+def test_a_left_out_section_means_what_a_left_out_json_section_means():
+    assert ExperimentConfig(seed=5) == config_from_dict({"seed": 5})
+    assert ExperimentConfig(seed=5).scene == SceneConfig(seed=5)
+    assert ExperimentConfig(seed=5, scene={"noise_std": 0.1}).scene == SceneConfig(seed=5, noise_std=0.1)
+
+
+@pytest.mark.parametrize("key,fault", [
+    ("output_dir", lambda out: {"output_dir": out}),
+    ("n_train", lambda out: {"n_train": np.int64(16)}),
+], ids=["output-dir-path", "n-train-int64"])
+def test_a_faulty_config_trains_nothing_and_creates_no_directory(tmp_path, monkeypatch, key, fault):
+    monkeypatch.setattr(experiment, "_spare_cores", lambda: 0)
+    trained = []
+    real = experiment.train_epoch
+
+    def counted(*args, **kwargs):
+        trained.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "train_epoch", counted)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        run_experiment(ExperimentConfig(**{"total_epochs": 1, "n_train": 16, "n_val": 0, "output_dir": str(out),
+                                           **fault(out)}))
+    assert trained == []
+    assert not out.exists()
 
 
 def test_scene_seed_must_match_run_seed():
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=0, scene=SceneConfig(seed=1))
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(seed=5, scene={"seed": 1})
 
 
 def test_default_schedule_never_freezes():

@@ -50,7 +50,12 @@ per-period store beside the rows it writes to `grid_summary.csv`. A
 phase value is read from text in one place: only
 `schedule._read_positive_or_inf` spells "infinity" or calls `isdigit`,
 `parse_rho` and `ScheduleSpec.from_json` call it, and
-`ScheduleSpec.__init__` reaches only the one check, `_positive_or_inf`."""
+`ScheduleSpec.__init__` reaches only the one check, `_positive_or_inf`.
+A config is checked by one rule however it is made: only
+`ExperimentConfig.__post_init__` calls `_check_kinds` and
+`_build_section` (which calls `_check_kinds` for a section), so
+`config_from_dict` calls neither, and in `experiment` only `_check_kinds`
+calls `math.isfinite`."""
 
 import ast
 import math
@@ -196,6 +201,16 @@ def test_a_config_is_checked_where_it_is_made():
     assert sorted(_calls_by_function(tree, "plan_detector")) == ["__post_init__", "plan_ledger"]
     (config,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"]
     assert _calls_by_function(config, "plan_detector") == ["__post_init__"]
+
+
+def test_a_config_is_read_from_json_in_one_place_and_checked_by_one_rule():
+    tree = _tree("experiment")
+    (config,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"]
+    assert _calls_by_function(config, "_check_kinds") == ["__post_init__"]
+    assert _calls_by_function(config, "_build_section") == ["__post_init__"]
+    assert sorted(_calls_by_function(tree, "_check_kinds")) == ["__post_init__", "_build_section"]
+    assert _calls_by_function(tree, "_build_section") == ["__post_init__"]
+    assert _calls_by_function(tree, "isfinite") == ["_check_kinds"]
 
 
 @pytest.mark.parametrize("name,callers", [
