@@ -389,11 +389,11 @@ def reduce_mean(x: Tensor) -> Tensor:
 PRIMITIVE_KINDS = ("add", "multiply", "matmul", "conv2d", "relu", "maxpool2d", "flatten", "mean", "sum")
 
 
-def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
+def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
     """Reverse sweep over `tape` from a scalar `loss`.
 
-    Returns gradients for every requires-grad leaf reachable from the
-    loss, keyed by tensor uid; a loss built solely on cut-off tensors
+    Returns the gradient array of every requires-grad leaf reachable from
+    the loss, keyed by tensor uid; a loss built solely on cut-off tensors
     yields none. Deterministic: one reverse pass in tape order.
     """
     if loss.size != 1:
@@ -416,8 +416,8 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
             else:
                 adjoint[uid] = seen + pg
 
-    return {
-        uid: Tensor(adjoint[uid])
+    return {  # asarray: numpy arithmetic on 0-d adjoints yields scalars
+        uid: np.asarray(adjoint[uid])
         for uid, leaf in tape.leaves.items()
         if uid in adjoint and leaf.requires_grad
     }

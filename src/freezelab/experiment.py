@@ -115,6 +115,8 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.schedule, ScheduleSpec):
+            object.__setattr__(self, "schedule", ScheduleSpec.from_json(self.schedule))
         _check_kinds({key: value for key, value in vars(self).items() if key not in _SECTIONS}, ExperimentConfig)
         for section, cls in _SECTIONS.items():
             seed = {"seed": self.seed} if cls is SceneConfig else {}
@@ -187,8 +189,8 @@ def _build_section(cls, raw, section: str, **defaults):
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The config a JSON document describes. It reads what JSON alone needs
-    (the version, unknown top-level keys, the schedule's text); a left-out
-    key means its ExperimentConfig default, and ExperimentConfig checks all."""
+    (the version, unknown top-level keys); a left-out key means its
+    ExperimentConfig default, and ExperimentConfig reads and checks all."""
     raw = dict(raw)
     version = raw.pop("version", CONFIG_VERSION)
     if type(version) is not int or version != CONFIG_VERSION:
@@ -197,8 +199,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "schedule" in raw:
-        raw["schedule"] = ScheduleSpec.from_json(raw["schedule"])
     return ExperimentConfig(**raw)
 
 

@@ -1,5 +1,6 @@
 """SGD with momentum, weight decay, and global L2 gradient clipping.
 
+A gradient map holds plain arrays, as `autodiff.backward` returns them.
 Frozen parameters are the ones *absent* from the gradient map for a step.
 They are left completely untouched: no weight decay, no momentum update,
 no velocity entry. Stepping them with a zero gradient instead would let
@@ -13,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-
-from .autodiff import Tensor
 
 __all__ = ["SgdConfig", "OptimState", "clip_gradients", "global_grad_norm", "sgd_step"]
 
@@ -44,35 +43,35 @@ class OptimState:
     velocity: dict = field(default_factory=dict)
 
 
-def global_grad_norm(grads: Mapping[object, Tensor]) -> float:
+def global_grad_norm(grads: Mapping[object, np.ndarray]) -> float:
     """L2 norm over all entries of a gradient map (0.0 when empty)."""
     total = 0.0
     for g in grads.values():
-        v = g.data
-        total += float(np.dot(v.reshape(-1), v.reshape(-1)))
+        total += float(np.dot(g.reshape(-1), g.reshape(-1)))
     return math.sqrt(total)
 
 
-def clip_gradients(grads: Mapping[object, Tensor], max_norm: float) -> dict:
-    """Scale all gradients by max_norm/norm when the global L2 norm exceeds
-    max_norm; otherwise return them unchanged. Empty maps pass through."""
+def clip_gradients(grads: Mapping[object, np.ndarray], max_norm: float) -> dict:
+    """Scale all gradients by max_norm/norm into fresh arrays when the
+    global L2 norm exceeds max_norm; otherwise return the very input
+    arrays. Empty maps pass through."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     norm = global_grad_norm(grads)
     if norm <= max_norm:
         return dict(grads)
     scale = max_norm / norm
-    return {key: Tensor(g.data * scale) for key, g in grads.items()}
+    return {key: g * scale for key, g in grads.items()}
 
 
 def sgd_step(
-    params: Mapping[str, Tensor],
-    grads: Mapping[str, Tensor],
+    params: Mapping[str, object],
+    grads: Mapping[str, np.ndarray],
     state: OptimState,
     lr: float,
     cfg: SgdConfig,
 ) -> None:
-    """One in-place SGD update over the parameters present in `grads`.
+    """One in-place SGD update of `p.data` for each parameter p present in `grads`.
 
     For each present parameter: g <- grad + weight_decay * p;
     v <- momentum * v + g; p <- p - lr * v. Parameters absent from
@@ -88,7 +87,7 @@ def sgd_step(
             raise ValueError(f"gradient shape {g.shape} does not match parameter {key!r} of shape {p.shape}")
         # In place, per element in the order g + wd*p, m*v + step, p - lr*v.
         step = np.multiply(p.data, cfg.weight_decay)
-        step += g.data
+        step += g
         v = state.velocity.get(key)
         if v is None:
             v = state.velocity[key] = np.zeros_like(p.data)

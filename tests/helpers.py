@@ -39,7 +39,7 @@ def analytic_gradients(build, arrays):
     with Tape() as tape:
         loss = build(*tensors)
     grads = backward(loss, tape)
-    return [grads[t.uid].data if t.uid in grads else None for t in tensors]
+    return [grads[t.uid] if t.uid in grads else None for t in tensors]
 
 
 def check_gradients(build, func, arrays, tol=1e-6, h=1e-6):

@@ -67,7 +67,7 @@ def test_grad_of_sum_is_ones():
     with Tape() as tape:
         loss = ad.reduce_sum(w)
     grads = backward(loss, tape)
-    assert np.array_equal(grads[w.uid].data, [1.0, 1.0, 1.0])
+    assert np.array_equal(grads[w.uid], [1.0, 1.0, 1.0])
 
 
 def test_grad_mean_relu():
@@ -76,8 +76,8 @@ def test_grad_mean_relu():
         loss = ad.reduce_mean(ad.relu(w))
     grads = backward(loss, tape)
     numeric = fd_gradient(lambda a: np.mean(np.maximum(a, 0.0)), [w.data.copy()], 0)
-    assert np.array_equal(grads[w.uid].data, [0.0, 0.5])
-    assert rel_error(grads[w.uid].data, numeric) <= 1e-6
+    assert np.array_equal(grads[w.uid], [0.0, 0.5])
+    assert rel_error(grads[w.uid], numeric) <= 1e-6
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -132,12 +132,12 @@ def test_detach_half_of_sum():
         z = ad.add(live, Tensor(ad.multiply(w, x).data))
         loss = ad.reduce_sum(z)
     grads = backward(loss, tape)
-    assert np.array_equal(grads[w.uid].data, x0)
+    assert np.array_equal(grads[w.uid], x0)
     # and it matches finite differences of the cut expression, where the
     # second term is held constant
     frozen = w0 * x0
     numeric = fd_gradient(lambda a: float(np.sum(a * x0 + frozen)), [w0.copy()], 0)
-    assert rel_error(grads[w.uid].data, numeric) <= 1e-6
+    assert rel_error(grads[w.uid], numeric) <= 1e-6
 
 
 def test_forward_values_unchanged_by_detach():
@@ -265,7 +265,7 @@ def test_maxpool_tie_routes_to_first_element():
     grads = backward(loss, tape)
     expected = np.zeros((1, 1, 2, 2))
     expected[0, 0, 0, 0] = 1.0
-    assert np.array_equal(grads[x.uid].data, expected)
+    assert np.array_equal(grads[x.uid], expected)
 
 
 def test_gradients_are_deterministic():
@@ -279,7 +279,7 @@ def test_gradients_are_deterministic():
         with Tape() as tape:
             loss = scalar_loss(ad.add(ad.matmul(ta, tb), tb))
         grads = backward(loss, tape)
-        return grads[ta.uid].data.copy(), grads[tb.uid].data.copy()
+        return grads[ta.uid].copy(), grads[tb.uid].copy()
 
     ga1, gb1 = run()
     ga2, gb2 = run()
@@ -292,7 +292,13 @@ def test_reused_tensor_accumulates_gradient():
     with Tape() as tape:
         loss = ad.reduce_sum(ad.add(ad.multiply(w, w), w))  # w^2 + w
     grads = backward(loss, tape)
-    assert np.allclose(grads[w.uid].data, [5.0])  # 2w + 1 at w=2
+    assert np.allclose(grads[w.uid], [5.0])  # 2w + 1 at w=2
+    # numpy arithmetic on 0-d adjoints yields scalars; backward still hands out arrays
+    s = Tensor(2.0, requires_grad=True)
+    with Tape() as tape:
+        loss = ad.add(ad.multiply(s, s), s)
+    grad = backward(loss, tape)[s.uid]
+    assert type(grad) is np.ndarray and grad.shape == () and grad == 5.0
 
 
 def test_tensor_shape_value_invariant():
@@ -341,4 +347,4 @@ def test_inactive_operands_get_no_adjoint():
     assert conv_all[0] is not None and dense_all[0] is not None
     assert set(grads_all) == {x_all.uid, f_all.uid, w.uid, b.uid, head.uid}
     for leaf in (w, b, head):
-        assert grads[leaf.uid].data.tobytes() == grads_all[leaf.uid].data.tobytes()
+        assert grads[leaf.uid].tobytes() == grads_all[leaf.uid].tobytes()

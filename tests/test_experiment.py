@@ -415,6 +415,8 @@ PYTHON_TWINS = [
     ('{"sgd": {"clip_max_norm": NaN}}', {"sgd": SgdConfig(clip_max_norm=math.nan)}),
     ('{"scene": {"noise_std": NaN}}', {"scene": SceneConfig(noise_std=math.nan)}),
     ('{"time_model": {"minutes_frozen": -Infinity}}', {"time_model": {"minutes_frozen": -math.inf}}),
+    ('{"schedule": "4:1|inf:2"}', {"schedule": "4:1|inf:2"}),
+    ('{"schedule": [[4, 1, 2], ["inf", 2, 1]]}', {"schedule": [[4, 1, 2], ["inf", 2, 1]]}),
 ]
 
 
@@ -428,6 +430,11 @@ def test_a_config_made_in_python_is_checked_as_a_loaded_one(tmp_path):
             with pytest.raises(ValueError) as made:
                 make()
             assert str(loaded.value) == f"{path}: {made.value}", text
+    # a schedule, like a section, is its object or its JSON form
+    spec, text = ScheduleSpec([(4, 1), (math.inf, 2)]), [[4, 1], ["inf", 2]]
+    for make in (ExperimentConfig, lambda **kw: replace(default_config(), **kw)):
+        assert make(schedule=text) == make(schedule=spec) == config_from_dict({"schedule": text})
+        assert make(schedule=text).schedule == spec
 
 
 def test_a_section_is_its_instance_or_its_json_object():

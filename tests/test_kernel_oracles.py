@@ -13,9 +13,11 @@ from reference_kernels import conv2d_reference, maxpool2d_reference
 
 # Bit identity with the tensordot loop rests on BLAS adding the same terms
 # in the same order for both call layouts. It was recorded with numpy 2.4.6
-# on scipy-openblas 0.3.31 (x86-64, Haswell kernels); another BLAS build or
-# CPU kernel may round differently while both kernels stay correct, so a
-# failure names the BLAS in use.
+# on scipy-openblas 0.3.31 (x86-64, a DYNAMIC_ARCH build that ran its
+# SkylakeX kernels, as `scipy_openblas_get_corename64_()` reports; the
+# "Haswell" in `np.show_config` is only the build's baseline); another BLAS
+# build or CPU kernel may round differently while both kernels stay
+# correct, so a failure names the BLAS in use.
 _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 _BLAS_NAME = f"{_BLAS.get('name')} {_BLAS.get('version')}"
 

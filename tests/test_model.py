@@ -246,7 +246,7 @@ def test_frozen_forward_blocks_backbone_gradients():
 
     assert not set(grads) & set(groups["backbone"])
     assert "3.weight" in grads
-    assert np.any(grads["3.weight"].data != 0.0)
+    assert np.any(grads["3.weight"] != 0.0)
 
 
 def test_unfrozen_forward_reaches_backbone():
@@ -261,7 +261,7 @@ def test_unfrozen_forward_reaches_backbone():
         loss = detection_loss(pred, targets)
     grads = {table[uid]: g for uid, g in backward(loss, tape).items()}
 
-    assert "0.weight" in grads and np.any(grads["0.weight"].data != 0.0)
+    assert "0.weight" in grads and np.any(grads["0.weight"] != 0.0)
     assert "3.weight" in grads
 
 
@@ -330,7 +330,7 @@ def test_relu_after_pool_keeps_the_forward_bytes_and_the_gradient_values():
         with Tape() as tape:
             out = forward()
             loss = detection_loss(PredictionGrid(out, 2, 2), targets)
-        grads = {table[uid]: g.data for uid, g in backward(loss, tape).items()}
+        grads = {table[uid]: g for uid, g in backward(loss, tape).items()}
         runs[name] = (out.data, [node.kind for node in tape.nodes], grads)
     (out, kinds, grads), (want_out, want_kinds, want_grads) = runs["engine"], runs["written"]
     assert kinds[:6] == ["conv2d", "maxpool2d", "relu", "conv2d", "maxpool2d", "relu"]
@@ -455,7 +455,7 @@ def test_the_cropped_forward_keeps_the_bytes_of_the_uncropped_one(name):
         with Tape() as tape:
             out = forward()
             loss = detection_loss(PredictionGrid(out, d.grid_size, d.num_classes), targets)
-        grads = {table[uid]: g.data for uid, g in backward(loss, tape).items()}
+        grads = {table[uid]: g for uid, g in backward(loss, tape).items()}
         runs[side] = (out.data, sorted(node.kind for node in tape.nodes), grads)
     (out, kinds, grads), (want_out, want_kinds, want_grads) = runs["engine"], runs["written"]
     assert kinds == want_kinds  # the crop records no node
@@ -605,7 +605,7 @@ def test_loss_gradient_matches_finite_differences():
             PredictionGrid(pred_tensor, grid_size=2, num_classes=2), targets
         )
     grads = backward(loss, tape)
-    analytic = grads[pred_tensor.uid].data
+    analytic = grads[pred_tensor.uid]
 
     def func(arr):
         pred = PredictionGrid(Tensor(arr), grid_size=2, num_classes=2)
@@ -626,7 +626,7 @@ def test_end_to_end_gradient_through_detector():
     with Tape() as tape:
         pred = detector_forward(d, Tensor(batch), freeze=0)
         loss = detection_loss(pred, targets)
-    grads = {table[uid]: g.data for uid, g in backward(loss, tape).items()}
+    grads = {table[uid]: g for uid, g in backward(loss, tape).items()}
 
     # numeric check on one dense weight entry and one conv weight entry
     def loss_at():

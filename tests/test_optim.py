@@ -1,10 +1,13 @@
 """Optimizer tests: clipping, the SGD update rule, and the frozen-parameter
 preservation contract."""
 
+import math
+
 import numpy as np
 import pytest
 
-from freezelab.autodiff import Tensor
+from freezelab.autodiff import Tape, Tensor, backward
+from freezelab.model import build_detector, default_desk_arch, detection_loss, detector_forward
 from freezelab.optim import (
     OptimState,
     SgdConfig,
@@ -15,7 +18,7 @@ from freezelab.optim import (
 
 
 def _grads(**named):
-    return {key: Tensor(np.asarray(val, dtype=np.float64)) for key, val in named.items()}
+    return {key: np.asarray(val, dtype=np.float64) for key, val in named.items()}
 
 
 # --------------------------------------------------------------------------
@@ -23,15 +26,33 @@ def _grads(**named):
 
 
 def test_clip_below_threshold_is_identity():
-    grads = _grads(w=[3.0, 4.0])  # norm 5
-    out = clip_gradients(grads, 35.0)
-    assert np.array_equal(out["w"].data, [3.0, 4.0])
+    # backward hands out plain arrays; under the norm the clip returns the
+    # very input arrays (the traced clip_fired_share reads firing by
+    # identity), above it fresh arrays, with its inputs left as they were
+    d = build_detector(default_desk_arch(), init_seed=0)
+    rng = np.random.default_rng(2)
+    batch = Tensor(rng.uniform(0.0, 1.0, size=(2, *d.input_shape)))
+    with Tape() as tape:
+        loss = detection_loss(detector_forward(d, batch, 0), np.zeros((2, d.grid_size, d.grid_size, 5 + d.num_classes)))
+    from_backward = backward(loss, tape)
+    assert from_backward and all(type(g) is np.ndarray for g in from_backward.values())
+
+    for below, max_norm in ((_grads(w=[3.0, 4.0]), 35.0), (from_backward, math.inf)):  # norm 5 < 35
+        out = clip_gradients(below, max_norm)
+        assert out.keys() == below.keys() and all(out[k] is below[k] for k in below)
+
+    above = _grads(w=[42.0, 56.0], b=[0.0, 70.0])
+    before = {k: g.copy() for k, g in above.items()}
+    out = clip_gradients(above, 35.0)
+    for k, g in above.items():
+        assert type(out[k]) is np.ndarray and out[k] is not g and not np.shares_memory(out[k], g)
+        assert g.tobytes() == before[k].tobytes()
 
 
 def test_clip_halves_norm_seventy():
     grads = _grads(w=[42.0, 56.0])  # norm 70
     out = clip_gradients(grads, 35.0)
-    assert np.array_equal(out["w"].data, [21.0, 28.0])
+    assert np.array_equal(out["w"], [21.0, 28.0])
 
 
 def test_clip_spans_multiple_entries():
@@ -40,7 +61,7 @@ def test_clip_spans_multiple_entries():
     assert global_grad_norm(grads) == pytest.approx(100.0, rel=1e-12)
     out = clip_gradients(grads, 35.0)
     assert global_grad_norm(out) == pytest.approx(35.0, rel=1e-12)
-    ratio = out["a"].data / grads["a"].data
+    ratio = out["a"] / grads["a"]
     assert np.allclose(ratio, 0.35, rtol=1e-12)
 
 
@@ -53,12 +74,12 @@ def test_clip_idempotent():
     below = _grads(w=[1.0, 2.0])
     once = clip_gradients(below, 35.0)
     twice = clip_gradients(once, 35.0)
-    assert np.array_equal(once["w"].data, twice["w"].data)
+    assert np.array_equal(once["w"], twice["w"])
 
     above = _grads(w=np.full(100, 7.0))
     once = clip_gradients(above, 35.0)
     twice = clip_gradients(once, 35.0)
-    assert np.max(np.abs(once["w"].data - twice["w"].data)) <= 1e-12
+    assert np.max(np.abs(once["w"] - twice["w"])) <= 1e-12
     assert global_grad_norm(once) <= 35.0 + 1e-12
 
 
@@ -210,11 +231,11 @@ def test_in_place_update_is_bit_identical_to_the_expression_form(momentum):
     state = OptimState({"frozen.w": frozen_v.copy()})
     for step in range(25):
         present = [key for key in shapes if key != "frozen.w" and (step < 3 or rng.random() < 0.8)]
-        grads = {key: Tensor(rng.normal(size=shapes[key])) for key in present}
+        grads = {key: rng.normal(size=shapes[key]) for key in present}
         lr = float(rng.uniform(1e-3, 0.3))
         sgd_step(params, grads, state, lr=lr, cfg=cfg)
         for key in present:
-            v = grads[key].data + cfg.weight_decay * want_p[key]
+            v = grads[key] + cfg.weight_decay * want_p[key]
             if momentum != 0.0:
                 v = momentum * want_v.get(key, np.zeros(shapes[key])) + v
             want_v[key] = v

@@ -55,7 +55,11 @@ A config is checked by one rule however it is made: only
 `ExperimentConfig.__post_init__` calls `_check_kinds` and
 `_build_section` (which calls `_check_kinds` for a section), so
 `config_from_dict` calls neither, and in `experiment` only `_check_kinds`
-calls `math.isfinite`."""
+calls `math.isfinite`. A schedule's JSON form is read the same way: only
+`ExperimentConfig.__post_init__` calls `ScheduleSpec.from_json`, and
+`config_from_dict` never touches the schedule. A gradient is a plain
+array from `backward` to `sgd_step`: `optim` imports nothing from
+`autodiff` and constructs no `Tensor`."""
 
 import ast
 import math
@@ -211,6 +215,13 @@ def test_a_config_is_read_from_json_in_one_place_and_checked_by_one_rule():
     assert sorted(_calls_by_function(tree, "_check_kinds")) == ["__post_init__", "_build_section"]
     assert _calls_by_function(tree, "_build_section") == ["__post_init__"]
     assert _calls_by_function(tree, "isfinite") == ["_check_kinds"]
+    assert _calls_by_function(tree, "from_json") == ["__post_init__"]
+
+
+def test_optim_steps_plain_arrays_and_leaves_the_tape_type_to_autodiff():
+    tree = _tree("optim")
+    assert [(src, name) for src, name in _imports(tree) if "autodiff" in f"{src}.{name}"] == []
+    assert _calls_by_function(tree, "Tensor") == []
 
 
 @pytest.mark.parametrize("name,callers", [
