@@ -6,8 +6,9 @@ period grid.
     freezelab grid   --config cfg.json --rhos 1,2,5,10,inf [--out dir]
                      [--switch 4] [--seeds 0]
 
-Every command exits 0 on success and nonzero with a one-line diagnostic
-on stderr otherwise.
+Every command exits 0 on success. A bad or missing argument (`--switch x`,
+no `--rhos`) prints argparse's usage and exits 2; any other error exits 1
+with a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .evaluation import BBox, GroundTruth
 from .rng import STREAM_SCENE, generator
 
@@ -54,10 +53,10 @@ class SceneConfig:
             raise ValueError("noise_std must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a field-wise == over an array would raise; a scene equals only itself
 class Scene:
     index: int
-    image: Tensor  # [channels, H, W], values in [0, 1]
+    image: np.ndarray  # [channels, H, W] float64, values in [0, 1]
     ground_truths: tuple  # of GroundTruth, image_id == index
 
 
@@ -99,7 +98,7 @@ def generate_scene(cfg: SceneConfig, index: int) -> Scene:
         )
 
     np.clip(image, 0.0, 1.0, out=image)
-    return Scene(index=index, image=Tensor(image), ground_truths=tuple(gts))
+    return Scene(index=index, image=image, ground_truths=tuple(gts))
 
 
 def generate_dataset(cfg: SceneConfig, n_train: int, n_val: int) -> tuple[list[Scene], list[Scene]]:

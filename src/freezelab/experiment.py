@@ -282,7 +282,7 @@ def _backbone_outputs(detector: Detector, scenes: Sequence[Scene], batch_size: i
     `batch_size` scenes at a time so no layer output outgrows a batch."""
     out = np.empty((len(scenes),) + detector.feature_shape)
     for lo in range(0, len(scenes), batch_size):
-        images = np.stack([s.image.data for s in scenes[lo : lo + batch_size]])
+        images = np.stack([s.image for s in scenes[lo : lo + batch_size]])
         out[lo : lo + len(images)] = backbone_features(detector, Tensor(images)).data
     return out
 
@@ -329,7 +329,7 @@ def train_epoch(
             if freeze:
                 pred = detector_forward(detector, None, 1, features=Tensor(cache.train[rows]))
             else:
-                pred = detector_forward(detector, Tensor(np.stack([scenes[i].image.data for i in rows])), 0)
+                pred = detector_forward(detector, Tensor(np.stack([scenes[i].image for i in rows])), 0)
             loss = detection_loss(pred, cache.targets[rows])
         grads_by_uid = backward(loss, tape)
         grads = {key_of[uid]: g for uid, g in grads_by_uid.items()}

@@ -94,7 +94,7 @@ def test_a_frozen_depth1_forward_trains_conv2_and_the_head_but_not_conv1():
     cfg = _depth1()
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
     scenes, _ = generate_dataset(cfg.scene, 4, 0)
-    batch = Tensor(np.stack([scene.image.data for scene in scenes]))
+    batch = Tensor(np.stack([scene.image for scene in scenes]))
     targets = encode_targets([scene.ground_truths for scene in scenes], detector.grid_size,
                              detector.num_classes, cfg.scene.image_size)
     with Tape() as tape:

@@ -13,7 +13,7 @@ def test_same_seed_and_index_is_bit_identical():
     for index in (0, 1, 17):
         a = generate_scene(cfg, index)
         b = generate_scene(cfg, index)
-        assert np.array_equal(a.image.data, b.image.data)
+        assert np.array_equal(a.image, b.image)
         assert a.ground_truths == b.ground_truths
 
 
@@ -23,21 +23,21 @@ def test_scene_independent_of_generation_order():
     fresh = generate_scene(cfg, 5)
     _ = [generate_scene(cfg, i) for i in range(5)]
     again = generate_scene(cfg, 5)
-    assert np.array_equal(fresh.image.data, again.image.data)
+    assert np.array_equal(fresh.image, again.image)
     assert fresh.ground_truths == again.ground_truths
 
 
 def test_different_seed_changes_scene():
     a = generate_scene(SceneConfig(seed=0), 0)
     b = generate_scene(SceneConfig(seed=1), 0)
-    assert not np.array_equal(a.image.data, b.image.data)
+    assert not np.array_equal(a.image, b.image)
 
 
 def test_zero_objects_is_pure_background():
     cfg = SceneConfig(min_objects=0, max_objects=0, noise_std=0.0)
     scene = generate_scene(cfg, 0)
     assert scene.ground_truths == ()
-    assert np.all(scene.image.data == cfg.background)
+    assert np.all(scene.image == cfg.background)
 
 
 def test_image_shape_and_range():
@@ -45,8 +45,8 @@ def test_image_shape_and_range():
     for index in range(20):
         scene = generate_scene(cfg, index)
         assert scene.image.shape == (3, 32, 32)
-        assert np.all(scene.image.data >= 0.0)
-        assert np.all(scene.image.data <= 1.0)
+        assert np.all(scene.image >= 0.0)
+        assert np.all(scene.image <= 1.0)
 
 
 def test_all_boxes_valid_and_inside():
@@ -85,7 +85,7 @@ def test_object_pixels_show_class_channel():
         scene = generate_scene(cfg, index)
         (gt,) = scene.ground_truths
         x0, y0 = int(gt.box.xmin), int(gt.box.ymin)
-        pixel = scene.image.data[:, y0, x0]
+        pixel = scene.image[:, y0, x0]
         assert int(np.argmax(pixel)) == gt.class_id % cfg.channels
 
 
@@ -125,15 +125,26 @@ def test_dataset_regeneration_is_bit_identical():
     train_a, val_a = generate_dataset(cfg, 6, 3)
     train_b, val_b = generate_dataset(cfg, 6, 3)
     for a, b in zip(train_a + val_a, train_b + val_b):
-        assert np.array_equal(a.image.data, b.image.data)
+        assert np.array_equal(a.image, b.image)
         assert a.ground_truths == b.ground_truths
 
 
 def test_val_scenes_match_their_global_indices():
     cfg = SceneConfig()
     _, val = generate_dataset(cfg, 8, 2)
-    assert np.array_equal(val[0].image.data, generate_scene(cfg, 8).image.data)
-    assert np.array_equal(val[1].image.data, generate_scene(cfg, 9).image.data)
+    assert np.array_equal(val[0].image, generate_scene(cfg, 8).image)
+    assert np.array_equal(val[1].image, generate_scene(cfg, 9).image)
+
+
+def test_a_scene_is_plain_arrays_equal_only_to_itself():
+    cfg = SceneConfig()
+    scene = generate_scene(cfg, 3)
+    assert type(scene.image) is np.ndarray
+    assert scene.image.dtype == np.float64 and scene.image.flags.c_contiguous
+    assert {scene} == {scene} and scene == scene
+    again = generate_scene(cfg, 3)
+    assert scene != again and len({scene, again}) == 2
+    assert scene.image.tobytes() == again.image.tobytes()
 
 
 # --------------------------------------------------------------------------

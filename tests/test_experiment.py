@@ -136,7 +136,7 @@ def test_always_active_schedule_matches_scheduler_free_loop():
         losses = []
         for lo in range(0, len(order), cfg.sgd.batch_size):
             chunk = [scenes[i] for i in order[lo : lo + cfg.sgd.batch_size]]
-            batch = Tensor(np.stack([s.image.data for s in chunk]))
+            batch = Tensor(np.stack([s.image for s in chunk]))
             targets = encode_targets(
                 [s.ground_truths for s in chunk],
                 detector.grid_size, detector.num_classes, image_size,
@@ -178,7 +178,7 @@ def test_always_frozen_schedule_matches_headonly_baseline():
         losses = []
         for lo in range(0, len(order), cfg.sgd.batch_size):
             chunk = [scenes[i] for i in order[lo : lo + cfg.sgd.batch_size]]
-            batch = Tensor(np.stack([s.image.data for s in chunk]))
+            batch = Tensor(np.stack([s.image for s in chunk]))
             targets = encode_targets(
                 [s.ground_truths for s in chunk],
                 detector.grid_size, detector.num_classes, image_size,

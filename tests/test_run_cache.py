@@ -89,7 +89,7 @@ def _uncached_run(cfg) -> RunResult:
         losses = []
         for lo in range(0, len(order), bs):
             chunk = [train_scenes[i] for i in order[lo : lo + bs]]
-            batch = Tensor(np.stack([s.image.data for s in chunk]))
+            batch = Tensor(np.stack([s.image for s in chunk]))
             targets = encode_targets([s.ground_truths for s in chunk],
                                      detector.grid_size, detector.num_classes, image_size)
             with Tape() as tape:
@@ -107,7 +107,7 @@ def _uncached_run(cfg) -> RunResult:
             detections, truths = [], []
             for lo in range(0, len(val_scenes), bs):
                 chunk = val_scenes[lo : lo + bs]
-                pred = detector_forward(detector, Tensor(np.stack([s.image.data for s in chunk])), 0)
+                pred = detector_forward(detector, Tensor(np.stack([s.image for s in chunk])), 0)
                 detections.extend(decode_predictions(pred, [s.index for s in chunk], image_size))
                 for s in chunk:
                     truths.extend(s.ground_truths)
@@ -148,8 +148,8 @@ def _count_backbone_runs(monkeypatch, cfg):
     batches given to detector_forward and to backbone_features alike.
     Also checks that no frozen training step passes images."""
     train_scenes, val_scenes = generate_dataset(cfg.scene, cfg.n_train, cfg.n_val)
-    scene_of = {s.image.data.tobytes(): ("train", i) for i, s in enumerate(train_scenes)}
-    scene_of.update({s.image.data.tobytes(): ("val", i) for i, s in enumerate(val_scenes)})
+    scene_of = {s.image.tobytes(): ("train", i) for i, s in enumerate(train_scenes)}
+    scene_of.update({s.image.tobytes(): ("val", i) for i, s in enumerate(val_scenes)})
     calls = []
 
     def counted(label, fn):
@@ -266,7 +266,7 @@ def test_forward_from_stored_features_is_bit_identical():
     cfg = _config(SCHEDULES["always-active"])
     scenes, _ = generate_dataset(cfg.scene, 7, 0)
     detector = build_detector(cfg.arch, init_seed=cfg.seed)
-    images = np.stack([s.image.data for s in scenes])
+    images = np.stack([s.image for s in scenes])
 
     full = detector_forward(detector, Tensor(images), 1)
     features = backbone_features(detector, Tensor(images))

@@ -59,7 +59,8 @@ calls `math.isfinite`. A schedule's JSON form is read the same way: only
 `ExperimentConfig.__post_init__` calls `ScheduleSpec.from_json`, and
 `config_from_dict` never touches the schedule. A gradient is a plain
 array from `backward` to `sgd_step`: `optim` imports nothing from
-`autodiff` and constructs no `Tensor`."""
+`autodiff` and constructs no `Tensor`. A scene is plain arrays: only
+`model` and `experiment` import from `autodiff`."""
 
 import ast
 import math
@@ -216,6 +217,12 @@ def test_a_config_is_read_from_json_in_one_place_and_checked_by_one_rule():
     assert _calls_by_function(tree, "_build_section") == ["__post_init__"]
     assert _calls_by_function(tree, "isfinite") == ["_check_kinds"]
     assert _calls_by_function(tree, "from_json") == ["__post_init__"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "autodiff"])
+def test_only_model_and_experiment_use_the_tape(module):
+    uses_tape = any("autodiff" in f"{src}.{name}" for src, name in _imports(_tree(module)))
+    assert uses_tape == (module in ("model", "experiment"))
 
 
 def test_optim_steps_plain_arrays_and_leaves_the_tape_type_to_autodiff():
